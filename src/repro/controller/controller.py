@@ -103,7 +103,6 @@ class MemoryController:
         scheduler_cap: int = 4,
         write_drain_high: int = 48,
         write_drain_low: int = 16,
-        fast_kernels: bool = False,
     ) -> None:
         self.device = device
         self.mapping = mapping
@@ -151,30 +150,28 @@ class MemoryController:
         # fell into the past forces a recompute (see _next_event_hint).
         self._demand_hint: Optional[int] = None
 
-        # Batch fast kernels (see docs/ARCHITECTURE.md, "Batch-vectorized
-        # kernels").  When enabled:
+        # Incremental hint caches, maintained by the array kernels only
+        # (``_bind_array_kernels`` sets ``_fast``; the object backend stays
+        # the simple reference implementation).  With them:
         #
         # * ``enqueue`` folds the new request's bank readiness into the
         #   cached demand hint instead of dropping it (the other banks'
         #   readiness is unchanged, so the min stays exact);
-        # * ``_service_demand`` skips the FR-FCFS scan outright when the
-        #   cached hint proves no queued bank has a legal command at this
-        #   cycle.  The skip additionally requires ``_demand_ready_now`` to
-        #   be False: a bank that was already ready when the hint was
-        #   computed is excluded from the strictly-future minimum, yet may
-        #   become servable later without any issue event (e.g. the write
-        #   drain hysteresis flips the active queue on an enqueue), so its
-        #   presence disables the skip until the next recompute;
-        # * ``_next_event_hint`` caches the refresh-pending bank scan, whose
-        #   inputs only change on refresh accrual, an enqueue that raises a
-        #   rank's demand (which can only *remove* scan events -- an early
-        #   hint is a wasted wake, never a behaviour change) or an issued
-        #   command.
-        #
-        # The scalar engine keeps ``fast_kernels=False`` and stays the
-        # simple reference implementation; the batch-vs-scalar equivalence
-        # tests pin byte-identical results.
-        self._fast = fast_kernels
+        # * ``_service_demand_array`` skips the FR-FCFS scan outright when
+        #   the cached hint proves no queued bank has a legal command at
+        #   this cycle.  The skip additionally requires
+        #   ``_demand_ready_now`` to be False: a bank that was already ready
+        #   when the hint was computed is excluded from the strictly-future
+        #   minimum, yet may become servable later without any issue event
+        #   (e.g. the write drain hysteresis flips the active queue on an
+        #   enqueue), so its presence disables the skip until the next
+        #   recompute;
+        # * ``_next_event_hint_array`` caches the refresh-pending bank scan,
+        #   whose inputs only change on refresh accrual, an enqueue that
+        #   raises a rank's demand (which can only *remove* scan events --
+        #   an early hint is a wasted wake, never a behaviour change) or an
+        #   issued command.
+        self._fast = False
         self._demand_ready_now = True
         self._refresh_scan_hint: Optional[int] = None
         # Cached mechanism-pending scan (array kernels only; the object
@@ -238,7 +235,9 @@ class MemoryController:
             # forces the usual recompute at the next idle wake.
             hint = self._demand_hint
             if hint is not None:
-                ready = self._bank_demand_ready(request.bank_id, request.is_read)
+                ready = self._bank_demand_ready_array(
+                    request.bank_id, request.is_read
+                )
                 if ready < hint:
                     self._demand_hint = ready
         else:
@@ -327,7 +326,7 @@ class MemoryController:
                 issued = demand_issue = self._service_demand(cycle)
         if issued:
             # Any command changes bank/rank readiness: drop the cached
-            # demand hint (and the refresh-scan hint it feeds).  Fast-kernel
+            # demand hint (and the refresh-scan hint it feeds).  Array-kernel
             # exception: a *demand* command only moves the served bank's own
             # readiness (its rank-level side effects push other banks later,
             # which keeps the cached minimum early-but-never-late), and
@@ -524,17 +523,6 @@ class MemoryController:
 
     def _service_demand(self, cycle: int) -> bool:
         is_read = self._active_queue_is_reads()
-        if self._fast:
-            # Batch fast path: the cached demand hint is the exact minimum
-            # readiness over every queued bank of *both* queues, so a
-            # strictly-future hint proves no candidate can issue -- the
-            # whole FR-FCFS scan (pure on failure) is skipped.  The
-            # hysteresis above still ran, so the drain flag's trajectory is
-            # unchanged.  Disabled while a blocked-but-ready bank exists
-            # (see __init__).
-            hint = self._demand_hint
-            if hint is not None and cycle < hint and not self._demand_ready_now:
-                return False
         if is_read:
             if not self._read_count:
                 return False
@@ -543,8 +531,6 @@ class MemoryController:
             buckets = self._write_buckets
         request = self.scheduler.choose_from_buckets(buckets, self.device)
         if request is not None and self._serve_request(request, is_read, buckets, cycle):
-            if self._fast:
-                self._fold_bank_hint(request.bank_id)
             return True
         # First-ready fallback: try any request whose next command is legal.
         # Per bank only three requests can differ in outcome -- the bucket
@@ -585,8 +571,6 @@ class MemoryController:
         candidates.sort(key=_BY_REQUEST_ID)
         for request in candidates:
             if self._serve_request(request, is_read, buckets, cycle):
-                if self._fast:
-                    self._fold_bank_hint(request.bank_id)
                 return True
         return False
 
@@ -737,40 +721,22 @@ class MemoryController:
                 if cycle < ready < best:
                     best = ready
         else:
-            # The pending-rank bank scan is cached on the batch fast path:
-            # its inputs only change on refresh accrual, an issued command
-            # (both drop the cache) or an enqueue (which can only remove
-            # scan events -- a too-early hint is a wasted wake, never a
-            # behaviour change).  A cached value in the past is stale.
-            scan = self._refresh_scan_hint
-            if self._fast and scan is not None and scan > cycle:
-                if scan < best:
-                    best = scan
-            else:
-                scan = FAR_FUTURE
-                pending_ranks = self.refresh.ranks_needing_refresh()
-                if pending_ranks:
-                    rank_demand = self._rank_demand
-                    for rank in pending_ranks:
-                        # A postponed REF is only actionable when urgent or
-                        # when the rank is idle; otherwise the next refresh
-                        # event is the accrual boundary already covered
-                        # above.
-                        if not self.refresh.refresh_urgent(rank) and rank_demand[rank]:
-                            continue
-                        for bank_id in device.banks_in_rank(rank):
-                            bank = banks[bank_id]
-                            ready = (
-                                bank._next_pre
-                                if bank.state is BankState.ACTIVE
-                                else bank._next_act
-                            )
-                            if cycle < ready < scan:
-                                scan = ready
-                if self._fast:
-                    self._refresh_scan_hint = scan
-                if scan < best:
-                    best = scan
+            rank_demand = self._rank_demand
+            for rank in self.refresh.ranks_needing_refresh():
+                # A postponed REF is only actionable when urgent or when the
+                # rank is idle; otherwise the next refresh event is the
+                # accrual boundary already covered above.
+                if not self.refresh.refresh_urgent(rank) and rank_demand[rank]:
+                    continue
+                for bank_id in device.banks_in_rank(rank):
+                    bank = banks[bank_id]
+                    ready = (
+                        bank._next_pre
+                        if bank.state is BankState.ACTIVE
+                        else bank._next_act
+                    )
+                    if cycle < ready < best:
+                        best = ready
 
         # Demand requests, bucketed per bank.  Both queues contribute: the
         # write queue may become the active queue as soon as it drains.
@@ -816,53 +782,6 @@ class MemoryController:
 
         return best
 
-    def _fold_bank_hint(self, bank_id: int) -> None:
-        """Fold one served bank's new readiness into the cached demand hint.
-
-        Called after a demand command issued on ``bank_id`` (fast kernels
-        only).  The fold is deliberately conservative: for an open bank it
-        takes the minimum over read, write and precharge release without
-        checking which queues the bank actually sits in, and for a closed
-        bank it ignores the rank-level ACT constraints -- a value at or
-        below the bank's true next event keeps the cached minimum
-        early-but-never-late (an early hint is a wasted wake; a late one
-        would change behaviour).
-        """
-        hint = self._demand_hint
-        if hint is None:
-            return
-        bank = self.device.banks[bank_id]
-        if bank.open_row is None:
-            ready = bank._next_act
-        else:
-            ready = bank._next_rd
-            if bank._next_wr < ready:
-                ready = bank._next_wr
-            if bank._next_pre < ready:
-                ready = bank._next_pre
-        if ready < hint:
-            self._demand_hint = ready
-
-    def _bank_demand_ready(self, bank_id: int, is_read: bool) -> int:
-        """Readiness of one queued bank (the per-bank body of
-        :meth:`_demand_ready_cycle`), for incremental hint maintenance."""
-        bank = self.device.banks[bank_id]
-        if bank.open_row is None:
-            ready = bank._next_act
-            state = self.device._ranks[bank_id // self._banks_per_rank]
-            rank_ready = state.last_act_cycle + self.timing.tRRD
-            if rank_ready > ready:
-                ready = rank_ready
-            window = state.act_window
-            if len(window) == window.maxlen:
-                faw_ready = window[0] + self.timing.tFAW
-                if faw_ready > ready:
-                    ready = faw_ready
-            return ready
-        ready = bank._next_rd if is_read else bank._next_wr
-        pre = bank._next_pre
-        return ready if ready < pre else pre
-
     def _demand_ready_cycle(self, cycle: int) -> int:
         """Earliest strictly-future readiness event of any queued demand.
 
@@ -880,11 +799,6 @@ class MemoryController:
         rank_states = device._ranks
         tRRD = self.timing.tRRD
         tFAW = self.timing.tFAW
-        # Whether any queued bank is ready at or before ``cycle`` (excluded
-        # from the strictly-future minimum): such a bank is being blocked by
-        # something other than timing, so the batch fast path must not use
-        # the hint to skip demand scans until the next recompute.
-        ready_now = False
         for buckets, is_read in (
             (self._read_buckets, True),
             (self._write_buckets, False),
@@ -902,22 +816,15 @@ class MemoryController:
                         faw_ready = window[0] + tFAW
                         if faw_ready > ready:
                             ready = faw_ready
-                    if ready <= cycle:
-                        ready_now = True
-                    elif ready < best:
+                    if cycle < ready < best:
                         best = ready
                     continue
                 ready = bank._next_rd if is_read else bank._next_wr
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
+                if cycle < ready < best:
                     best = ready
                 ready = bank._next_pre
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
+                if cycle < ready < best:
                     best = ready
-        self._demand_ready_now = ready_now
         return best
 
     # ------------------------------------------------------------------ #
@@ -928,8 +835,9 @@ class MemoryController:
     # identical hints -- pinned byte-for-byte by tests/test_bank_backends.py
     # -- with the per-bank Python loops folded into passes over the device's
     # BankArrayTiming plane.  The incremental caches (_demand_hint,
-    # _refresh_scan_hint, _mech_scan_hint) are always maintained here: the
-    # plane makes recomputes cheap and the fold bookkeeping makes them rare.
+    # _refresh_scan_hint, _mech_scan_hint; see __init__) are maintained
+    # here only: the plane makes recomputes cheap and the fold bookkeeping
+    # makes them rare.
     # ------------------------------------------------------------------ #
     def _bind_array_kernels(self) -> None:
         """Rebind the readiness scans to the vectorized variants."""
@@ -939,9 +847,7 @@ class MemoryController:
         # scalar kernels index these once per register access, and caching
         # them here turns every ``self._plane.next_*_mv`` double attribute
         # hop into a single one.  Safe because the plane identity is fixed
-        # for the controller's lifetime (pooled planes are adopted at
-        # device construction, before this binding runs) and ``reset()``
-        # fills the arrays in place.
+        # for the device's lifetime and its arrays never reallocate.
         self._mv_open_row = plane.open_row_mv
         self._mv_next_act = plane.next_act_mv
         self._mv_next_pre = plane.next_pre_mv
@@ -963,10 +869,9 @@ class MemoryController:
         self._col_ok = np.empty(n, dtype=bool)
         self._pre_ok = np.empty(n, dtype=bool)
         self._rank_slices = self.device._rank_slices
-        # The array kernels subsume the batch fast kernels: the caches they
-        # rely on are maintained unconditionally here.  ``enqueue`` and
-        # ``_dequeue`` need no twins -- the object versions already fold
-        # through the rebound ``_bank_demand_ready``.
+        # The incremental hint caches (see __init__).  ``enqueue`` and
+        # ``_dequeue`` need no twins: ``enqueue`` folds through
+        # ``_bank_demand_ready_array`` when the caches are on.
         self._fast = True
         self._service_demand = self._service_demand_array
         self._serve_request = self._serve_request_array
@@ -976,8 +881,6 @@ class MemoryController:
         self._service_preventive = self._service_preventive_array
         self._next_event_hint = self._next_event_hint_array
         self._demand_ready_cycle = self._demand_ready_cycle_array
-        self._fold_bank_hint = self._fold_bank_hint_array
-        self._bank_demand_ready = self._bank_demand_ready_array
 
     def _fold_stream(
         self, mask: np.ndarray, values: np.ndarray, cycle: int
@@ -1058,8 +961,9 @@ class MemoryController:
         """Array twin of :meth:`_demand_ready_cycle` (adaptive dispatch).
 
         The common case walks only the queued buckets, reading the plane's
-        memoryview twins in place of bank attributes -- same event streams,
-        same ``_demand_ready_now`` semantics as the object backend's scan.
+        memoryview twins in place of bank attributes -- same event streams
+        as the object backend's scan, plus the ``_demand_ready_now`` flag
+        the scan skip in :meth:`_service_demand_array` relies on.
         Once enough banks hold queued demand, the walk escalates to the
         whole-plane vectorized fold (:meth:`_demand_ready_cycle_vector`);
         below the threshold, ufunc dispatch overhead exceeds the loop it
@@ -1114,7 +1018,8 @@ class MemoryController:
         return best
 
     def _bank_demand_ready_array(self, bank_id: int, is_read: bool) -> int:
-        """Array twin of :meth:`_bank_demand_ready` (plain-int result)."""
+        """Readiness of one queued bank (the per-bank body of
+        :meth:`_demand_ready_cycle_array`), for incremental hint maintenance."""
         if self._mv_open_row[bank_id] < 0:
             ready = self._mv_next_act[bank_id]
             state = self.device._ranks[bank_id // self._banks_per_rank]
@@ -1134,7 +1039,16 @@ class MemoryController:
         return col if col < pre else pre
 
     def _fold_bank_hint_array(self, bank_id: int) -> None:
-        """Array twin of :meth:`_fold_bank_hint`."""
+        """Fold one served bank's new readiness into the cached demand hint.
+
+        Called after a demand command issued on ``bank_id``.  The fold is
+        deliberately conservative: for an open bank it takes the minimum
+        over read, write and precharge release without checking which
+        queues the bank actually sits in, and for a closed bank it ignores
+        the rank-level ACT constraints -- a value at or below the bank's
+        true next event keeps the cached minimum early-but-never-late (an
+        early hint is a wasted wake; a late one would change behaviour).
+        """
         hint = self._demand_hint
         if hint is None:
             return
@@ -1159,8 +1073,12 @@ class MemoryController:
         masks computed in three vectorized comparisons.
         """
         is_read = self._active_queue_is_reads()
-        # The cached hint proves no queued bank has a legal command at this
-        # cycle (see _service_demand); skip the scan outright.
+        # The cached demand hint is the exact minimum readiness over every
+        # queued bank of *both* queues, so a strictly-future hint proves no
+        # candidate can issue -- the whole FR-FCFS scan (pure on failure) is
+        # skipped.  The hysteresis above still ran, so the drain flag's
+        # trajectory is unchanged.  Disabled while a blocked-but-ready bank
+        # exists (see __init__).
         hint = self._demand_hint
         if hint is not None and cycle < hint and not self._demand_ready_now:
             return False
@@ -1404,9 +1322,8 @@ class MemoryController:
         """Array twin of :meth:`_next_event_hint`.
 
         The bank-readiness scans index the plane's memoryview twins (plain
-        Python ints, no ndarray scalar boxing); the refresh-pending scan is
-        cached as on the object fast path, and the mechanism-pending scan is
-        additionally cached (see ``_mech_scan_hint`` in ``__init__``).
+        Python ints, no ndarray scalar boxing); the refresh-pending and
+        mechanism-pending scans are cached (see ``__init__``).
         Every section preserves the early-never-late contract of the scalar
         hint.
         """

@@ -133,22 +133,6 @@ class PerRowCounters:
         """Iterate over (row, count) pairs of a bank (insertion order)."""
         raise NotImplementedError
 
-    # -- batch-mode buffer pooling (array backend only) ------------------- #
-    def adopt_count_buffers(self, buffers: List[List[int]]) -> None:
-        """Adopt preallocated all-zero per-bank count arrays (array backend).
-
-        The batch engine sizes the arrays from the sweep's decoded trace
-        rows, so the lazy power-of-two growth never runs during the
-        simulation, and recycles them across the configs of a batch group.
-        Capacity is unobservable (``reset_bank`` touches only live rows), so
-        an adopted store is byte-identical to a freshly grown one.
-        """
-        raise NotImplementedError(f"{self.backend!r} backend does not pool buffers")
-
-    def release_count_buffers(self) -> List[List[int]]:
-        """Reset every counter and detach the per-bank arrays for reuse."""
-        raise NotImplementedError(f"{self.backend!r} backend does not pool buffers")
-
 
 class _DictPerRowCounters(PerRowCounters):
     """The original sparse ``Dict[int, int]`` backend (reference layout)."""
@@ -335,19 +319,6 @@ class _ArrayPerRowCounters(PerRowCounters):
     def iter_bank(self, bank_id: int) -> Iterator[Tuple[int, int]]:
         counts = self._counts[bank_id]
         return ((row, counts[row]) for row in self._order[bank_id] if row >= 0)
-
-    def adopt_count_buffers(self, buffers: List[List[int]]) -> None:
-        if len(buffers) != self.num_banks:
-            raise ValueError(
-                f"expected {self.num_banks} per-bank buffers, got {len(buffers)}"
-            )
-        self._counts = buffers
-
-    def release_count_buffers(self) -> List[List[int]]:
-        self.reset_all()
-        buffers = self._counts
-        self._counts = [[] for _ in range(self.num_banks)]
-        return buffers
 
 
 @dataclass(frozen=True)

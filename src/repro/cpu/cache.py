@@ -25,12 +25,6 @@ class CacheAccessResult:
     writeback_address: Optional[int] = None
 
 
-#: Shared "hit, no writeback" result returned by ``access_if_hit_pooled``.
-#: Treated as immutable by contract (dataclass fields stay writable, but no
-#: caller on the pooled path ever assigns to them).
-_POOLED_HIT = CacheAccessResult(hit=True)
-
-
 @dataclass(slots=True)
 class CacheStats:
     """Hit / miss / writeback counters."""
@@ -139,26 +133,6 @@ class Cache:
         cache_set[tag] = dirty or is_write
         self.stats.hits += 1
         return CacheAccessResult(hit=True)
-
-    def access_if_hit_pooled(
-        self, address: int, is_write: bool
-    ) -> Optional[CacheAccessResult]:
-        """:meth:`access_if_hit` returning a shared hit-result object.
-
-        Callers on the batch fast path only read ``writeback_address`` (always
-        ``None`` for a hit) and never mutate or retain the result, so one
-        immortal instance replaces the per-hit allocation.
-        """
-        line = address // self.line_size
-        set_index = line % self.num_sets
-        tag = line // self.num_sets
-        cache_set = self._sets[set_index]
-        dirty = cache_set.pop(tag, None)
-        if dirty is None:
-            return None
-        cache_set[tag] = dirty or is_write
-        self.stats.hits += 1
-        return _POOLED_HIT
 
     def occupancy(self) -> int:
         """Number of valid lines currently stored."""

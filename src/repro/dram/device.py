@@ -50,7 +50,6 @@ class DramDevice:
         timing: TimingParams,
         mitigation: Optional[OnDieMitigation] = None,
         bank_backend: Optional[str] = None,
-        timing_plane: Optional[BankArrayTiming] = None,
     ) -> None:
         if mitigation is not None and mitigation.side != "dram":
             raise ValueError(
@@ -59,22 +58,11 @@ class DramDevice:
         self.organization = organization
         self.timing = timing
         self.mitigation = mitigation
-        # Bank timing backend (see dram/timing_plane.py).  Passing a
-        # pre-allocated plane (the batch engine pools them like counter
-        # buffers) implies the array backend; the plane is reset here so a
-        # pooled buffer's history can never leak into a new device.
-        if timing_plane is not None:
-            if timing_plane.num_banks != organization.total_banks:
-                raise ValueError(
-                    f"timing plane has {timing_plane.num_banks} banks, "
-                    f"organization needs {organization.total_banks}"
-                )
-            timing_plane.reset()
-            self.bank_backend = "array"
-        else:
-            self.bank_backend = resolve_bank_backend(bank_backend)
-            if self.bank_backend == "array":
-                timing_plane = BankArrayTiming(organization.total_banks)
+        # Bank timing backend (see dram/timing_plane.py).
+        self.bank_backend = resolve_bank_backend(bank_backend)
+        timing_plane = None
+        if self.bank_backend == "array":
+            timing_plane = BankArrayTiming(organization.total_banks)
         #: The structure-of-arrays timing registers (None = object backend).
         #: The controller's vectorized kernels key off this attribute.
         self.timing_plane = timing_plane
@@ -111,33 +99,57 @@ class DramDevice:
         self.internal_victim_rows = 0
         #: Cycle at which the back-off signal was last asserted (or None).
         self._backoff_observed_cycle: Optional[int] = None
-        #: External ACT observers ``(bank_id, row, cycle)`` (e.g. the
-        #: red-team disturbance oracle); independent of any mitigation.
+        #: External observers (e.g. the red-team disturbance oracle, the
+        #: schedule recorder), independent of any mitigation: ACT and PRE
+        #: listeners receive ``(bank_id, row, cycle)``, REF listeners
+        #: ``(bank_ids, cycle)``.
         self._activation_listeners: List[Callable[[int, int, int], None]] = []
+        self._precharge_listeners: List[Callable[[int, int, int], None]] = []
+        self._refresh_listeners: List[Callable[[Sequence[int], int], None]] = []
         # Flattened event fan-out: the mitigation hook and every listener in
-        # one pre-bound list, so ``activate``/``precharge`` run a single
-        # truthiness check plus direct calls instead of re-testing the
-        # registry shape on every command.
+        # one pre-bound list, so ``activate``/``precharge``/``refresh`` run a
+        # single truthiness check plus direct calls instead of re-testing
+        # the registry shape on every command.
         self._act_hooks: List[Callable[[int, int, int], None]] = []
         self._pre_hooks: List[Callable[[int, int, int], None]] = []
+        self._ref_hooks: List[Callable[[Sequence[int], int], None]] = []
         self._rebuild_hooks()
 
     def _rebuild_hooks(self) -> None:
-        """Re-flatten the ACT/PRE fan-out lists (mitigation first)."""
+        """Re-flatten the ACT/PRE/REF fan-out lists (mitigation first)."""
         act_hooks: List[Callable[[int, int, int], None]] = []
         pre_hooks: List[Callable[[int, int, int], None]] = []
+        ref_hooks: List[Callable[[Sequence[int], int], None]] = []
         if self.mitigation is not None:
             act_hooks.append(self.mitigation.on_activate)
             pre_hooks.append(self.mitigation.on_precharge)
+            ref_hooks.append(self.mitigation.on_periodic_refresh)
         act_hooks.extend(self._activation_listeners)
+        pre_hooks.extend(self._precharge_listeners)
+        ref_hooks.extend(self._refresh_listeners)
         self._act_hooks = act_hooks
         self._pre_hooks = pre_hooks
+        self._ref_hooks = ref_hooks
 
     def add_activation_listener(
         self, listener: Callable[[int, int, int], None]
     ) -> None:
         """Subscribe to every ACT issued to this device."""
         self._activation_listeners.append(listener)
+        self._rebuild_hooks()
+
+    def add_precharge_listener(
+        self, listener: Callable[[int, int, int], None]
+    ) -> None:
+        """Subscribe to every PRE issued to this device (with the closed row)."""
+        self._precharge_listeners.append(listener)
+        self._rebuild_hooks()
+
+    def add_refresh_listener(
+        self, listener: Callable[[Sequence[int], int], None]
+    ) -> None:
+        """Subscribe to every periodic all-bank REF issued to this device."""
+        self._refresh_listeners.append(listener)
         self._rebuild_hooks()
 
     # ------------------------------------------------------------------ #
@@ -304,8 +316,9 @@ class DramDevice:
             for bank_id in bank_ids:
                 self.banks[bank_id].block(cycle, self.timing.tRFC)
         self.command_counts["REF"] += 1
-        if self.mitigation is not None:
-            self.mitigation.on_periodic_refresh(bank_ids, cycle)
+        if self._ref_hooks:
+            for hook in self._ref_hooks:
+                hook(bank_ids, cycle)
 
     def rfm(self, bank_ids: Sequence[int], cycle: int) -> int:
         """Issue an RFM covering ``bank_ids``.

@@ -14,10 +14,11 @@ needs.  This module turns such a sweep into data:
   :meth:`~SweepSpec.expand`\\ s into the set of independent jobs, including
   the per-application *alone* runs and per-mix no-mitigation *baseline*
   runs shared by every sweep point.
-* :class:`SweepEngine` -- executes jobs serially, across worker processes
-  (``concurrent.futures.ProcessPoolExecutor``), or through the in-process
-  batch-vectorized engine (:mod:`repro.experiments.batch`), and memoises
-  every result in a :class:`~repro.experiments.cache.ResultCache`.
+* :class:`SweepEngine` -- executes jobs serially or across worker processes
+  (``concurrent.futures.ProcessPoolExecutor``), simulating each distinct
+  DRAM schedule once (:func:`execute_jobs`, :mod:`repro.experiments.sharing`),
+  and memoises every result in a
+  :class:`~repro.experiments.cache.ResultCache`.
 
 Beyond the Cartesian sweep, :func:`attack_job` builds the §11 performance
 attack runs and :func:`attack_search_job` builds the red-team probes of
@@ -39,18 +40,20 @@ import os
 import threading
 import time
 import weakref
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.attacks.oracle import DisturbanceOracle
 from repro.attacks.patterns import AttackSpec, performance_attack_trace
 from repro.core.factory import MECHANISM_NAMES
 from repro.cpu.trace import Trace
+from repro.experiments import sharing
 from repro.experiments.cache import ResultCache, config_payload, job_key
 from repro.system.config import SystemConfig, paper_system_config
 from repro.system.metrics import SimulationResult
-from repro.system.simulator import simulate
+from repro.system.simulator import SystemSimulator, build_channel_setups
 from repro.workloads.mixes import build_mix_traces
 
 #: Environment variable read for the default worker count (0/1 = serial).
@@ -368,7 +371,11 @@ def build_job_traces(job: SimJob) -> List[Trace]:
 
 
 def execute_job(job: SimJob) -> SimulationResult:
-    """Run one job to completion (also the worker-process entry point)."""
+    """Simulate one job to completion.
+
+    Inside a :func:`repro.experiments.sharing.recording` scope the
+    simulation also records its DRAM hook stream for schedule sharing.
+    """
     oracle = None
     if job.attack is not None:
         oracle = DisturbanceOracle(
@@ -376,12 +383,75 @@ def execute_job(job: SimJob) -> SimulationResult:
             blast_radius=job.config.blast_radius,
             num_channels=job.config.organization.channels,
         )
-    return simulate(
+    simulator = SystemSimulator(
         job.config,
         build_job_traces(job),
         workload_name=job.workload_name,
         oracle=oracle,
     )
+    recorder = sharing.active_recorder()
+    if recorder is not None:
+        recorder.attach(simulator)
+    return simulator.run()
+
+
+@dataclass(frozen=True)
+class JobOutcome:
+    """One executed job: its result and how it was obtained."""
+
+    job: SimJob
+    result: SimulationResult
+    seconds: float
+    #: True when the result was replayed over another job's schedule.
+    shared: bool
+    #: Cycle of the first action request a replay of this job's mechanism
+    #: found (its result then comes from a full simulation); None if no
+    #: replay found one.
+    diverged_cycle: Optional[int]
+
+
+def execute_jobs(jobs: Sequence[SimJob]) -> Iterator[JobOutcome]:
+    """Execute ``jobs`` in order, simulating each DRAM schedule once.
+
+    Jobs are grouped by :func:`~repro.experiments.sharing.schedule_group_key`.
+    The first fully simulated job of a group whose own mechanism, replayed
+    over its own hook stream, requests no action becomes the group's
+    schedule (the no-mitigation baseline always qualifies); later members
+    are replayed against it and simulated in full only if they diverge.
+    Each schedule is dropped after the group's last member, and a job that
+    is the last of its group is not recorded at all.  Full simulations go
+    through :func:`execute_job`.
+    """
+    keys = [sharing.schedule_group_key(job) for job in jobs]
+    remaining = Counter(key for key in keys if key is not None)
+    schedules: Dict[str, sharing.Schedule] = {}
+    for job, key in zip(jobs, keys):
+        start = time.perf_counter()
+        result: Optional[SimulationResult] = None
+        diverged: Optional[int] = None
+        schedule = schedules.get(key) if key is not None else None
+        if schedule is not None:
+            result, diverged = sharing.replay(job, schedule)
+        shared = result is not None
+        if result is None:
+            if key is not None and schedule is None and remaining[key] > 1:
+                with sharing.recording() as recorder:
+                    result = execute_job(job)
+                candidate = recorder.schedule()
+                diverged = sharing.first_request_cycle(
+                    build_channel_setups(job.config), candidate
+                )
+                if diverged is None:
+                    schedules[key] = candidate
+            else:
+                result = execute_job(job)
+        if key is not None:
+            remaining[key] -= 1
+            if not remaining[key]:
+                schedules.pop(key, None)
+        yield JobOutcome(
+            job, result, time.perf_counter() - start, shared, diverged
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -429,32 +499,42 @@ def estimate_job_cost(job: SimJob) -> float:
 def build_shards(jobs: Sequence[SimJob], workers: int) -> List[List[SimJob]]:
     """Split ``jobs`` into cost-balanced shards, most expensive first.
 
-    Longest-processing-time order: jobs are sorted by estimated cost
-    descending (key as a deterministic tie-break) and packed greedily into
-    shards of roughly ``total / (workers * SHARDS_PER_WORKER)`` cost.  Any
-    job at least that expensive gets a shard of its own, so a long
-    attack-search probe can never straggle behind a batch of cheap
+    The packing unit is a schedule group (see :func:`execute_jobs`; jobs
+    that cannot share form a unit of their own), kept whole in one shard in
+    input order, so pool mode shares schedules exactly as serial mode does.
+    Longest-processing-time order: units are sorted by estimated cost
+    descending (first job key as a deterministic tie-break) and packed
+    greedily into shards of roughly ``total / (workers * SHARDS_PER_WORKER)``
+    cost.  Any unit at least that expensive gets a shard of its own, so a
+    long attack-search probe can never straggle behind a batch of cheap
     baselines -- idle workers steal the remaining shards from the pool's
     shared queue.
     """
     if not jobs:
         return []
+    units: Dict[str, List[SimJob]] = {}
+    for job in jobs:
+        key = sharing.schedule_group_key(job)
+        units.setdefault(key if key is not None else job.key, []).append(job)
     # Decorate once: the estimate is pure, so compute it one time per job.
     costed = sorted(
-        ((estimate_job_cost(job), job) for job in jobs),
-        key=lambda pair: (-pair[0], pair[1].key),
+        (
+            (sum(estimate_job_cost(job) for job in unit), unit)
+            for unit in units.values()
+        ),
+        key=lambda pair: (-pair[0], pair[1][0].key),
     )
     total = sum(cost for cost, _ in costed)
     target = total / max(1, workers * SHARDS_PER_WORKER)
     shards: List[List[SimJob]] = []
     current: List[SimJob] = []
     current_cost = 0.0
-    for cost, job in costed:
+    for cost, unit in costed:
         if current and current_cost + cost > target:
             shards.append(current)
             current = []
             current_cost = 0.0
-        current.append(job)
+        current.extend(unit)
         current_cost += cost
     if current:
         shards.append(current)
@@ -463,23 +543,23 @@ def build_shards(jobs: Sequence[SimJob], workers: int) -> List[List[SimJob]]:
 
 def execute_shard(
     jobs: Sequence[SimJob], cache_dir: Optional[str]
-) -> Tuple[float, List[SimulationResult]]:
+) -> Tuple[float, List[JobOutcome]]:
     """Worker-process entry point: run a shard, streaming results to disk.
 
     Each finished result is written straight into the sharded per-key cache
     from the worker (atomic per-entry files, so N workers never serialize
     on a shared store); the parent only absorbs the returned objects into
-    its memory layer.  Returns ``(elapsed_seconds, results)`` in job order.
+    its memory layer.  Returns ``(elapsed_seconds, outcomes)`` in job order.
     """
     start = time.perf_counter()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    results: List[SimulationResult] = []
-    for job in jobs:
-        result = execute_job(job)
+    outcomes: List[JobOutcome] = []
+    for outcome in execute_jobs(jobs):
         if cache is not None:
-            cache.put(job.key, result, job.cache_payload())
-        results.append(result)
-    return time.perf_counter() - start, results
+            job = outcome.job
+            cache.put(job.key, outcome.result, job.cache_payload())
+        outcomes.append(outcome)
+    return time.perf_counter() - start, outcomes
 
 
 @dataclass(frozen=True)
@@ -499,8 +579,10 @@ class RunReport:
     total_jobs: int = 0
     cached_jobs: int = 0
     executed_jobs: int = 0
+    #: Executed jobs whose result was replayed over another job's schedule
+    #: instead of simulated (counted in ``executed_jobs`` too).
+    shared_jobs: int = 0
     workers: int = 0
-    batch: bool = False
     wall_seconds: float = 0.0
     shards: List[ShardReport] = field(default_factory=list)
 
@@ -509,8 +591,6 @@ class RunReport:
         """Which execution mode ran the missing jobs."""
         if self.executed_jobs == 0:
             return "cached"
-        if self.batch:
-            return "batch"
         return "pool" if self.workers >= 2 else "serial"
 
     @property
@@ -531,9 +611,9 @@ class RunReport:
             "total_jobs": self.total_jobs,
             "cached_jobs": self.cached_jobs,
             "executed_jobs": self.executed_jobs,
+            "shared_jobs": self.shared_jobs,
             "workers": self.workers,
             "engine": self.engine_mode,
-            "batch": self.batch,
             "wall_seconds": self.wall_seconds,
             "cache_hit_rate": self.cache_hit_rate,
             "shards": [dataclasses.asdict(shard) for shard in self.shards],
@@ -541,16 +621,14 @@ class RunReport:
 
     def summary_lines(self) -> List[str]:
         """Human-readable per-shard timing block (CLI output)."""
-        engine = "engine=batch" if self.batch else f"workers={self.workers}"
-        label = "batch group" if self.batch else "shard"
         lines = [
             f"run: {self.total_jobs} jobs ({self.cached_jobs} cached, "
-            f"{self.executed_jobs} executed, {engine}) "
-            f"in {self.wall_seconds:.2f}s"
+            f"{self.executed_jobs} executed, {self.shared_jobs} shared, "
+            f"workers={self.workers}) in {self.wall_seconds:.2f}s"
         ]
         for report in self.shards:
             lines.append(
-                f"  {label} {report.shard:>3}: {report.jobs:>3} job(s)  "
+                f"  shard {report.shard:>3}: {report.jobs:>3} job(s)  "
                 f"{report.seconds:7.2f}s  (est. cost {report.estimated_cost:,.0f})"
             )
         return lines
@@ -696,7 +774,6 @@ class SweepEngine:
         self,
         cache: Optional[ResultCache] = None,
         workers: Optional[int] = None,
-        batch: bool = False,
     ) -> None:
         """Create an engine.
 
@@ -705,15 +782,10 @@ class SweepEngine:
             workers: worker-process count; ``None`` reads the
                 ``REPRO_SWEEP_WORKERS`` environment variable (serial when
                 unset), and values below 2 execute serially in-process.
-            batch: execute missing jobs through the in-process
-                batch-vectorized engine (:mod:`repro.experiments.batch`)
-                instead of the serial/pooled scalar engine.  Results are
-                byte-identical either way; batch mode wins on single-CPU
-                machines, where process workers only add overhead.
         """
         self.cache = cache if cache is not None else ResultCache()
         self.workers = default_workers() if workers is None else workers
-        self.batch = batch
+        #: Jobs executed (simulated or replayed over a shared schedule).
         self.executed_jobs = 0
         #: Report of the most recent :meth:`run_jobs` call.
         self.last_run_report = RunReport()
@@ -761,22 +833,21 @@ class SweepEngine:
     def run_jobs(
         self,
         jobs: Sequence[SimJob],
-        batch: Optional[bool] = None,
         progress: Optional[ProgressFn] = None,
         cancel: Optional[CancelToken] = None,
     ) -> Dict[str, SimulationResult]:
         """Run a batch of jobs, returning ``{job.key: result}``.
 
-        Cached jobs are served immediately; the remainder executes in one
-        of three interchangeable modes -- serially, across the persistent
-        worker pool (cost-balanced shards, longest first), or through the
-        in-process batch-vectorized engine (``batch``; defaults to the
-        engine's ``batch`` setting).  The result mapping is byte-identical
-        and independent of execution order, worker count and mode.
+        Cached jobs are served immediately; the remainder executes serially
+        or across the persistent worker pool (cost-balanced shards, longest
+        first), either way simulating each distinct DRAM schedule once
+        (:func:`execute_jobs`).  The result mapping is byte-identical and
+        independent of execution order, worker count and mode.
 
         ``progress`` receives JSON-serialisable event dicts as the run
         advances: one ``plan`` event up front (totals, cache hits, mode),
-        a ``job`` event per job executed in-process (serial/batch modes), a
+        a ``job`` event per job executed in-process (serial mode; with
+        ``shared`` and ``diverged_cycle``, see :class:`JobOutcome`), a
         ``shard`` event per completed unit of work, and a final ``report``
         event mirroring :meth:`RunReport.as_dict`.  ``cancel`` is polled
         between jobs / shard completions; when it fires the engine raises
@@ -801,13 +872,10 @@ class SweepEngine:
             cached_jobs=len(unique) - len(missing),
             workers=self.workers,
         )
-        use_batch = self.batch if batch is None else batch
         if progress is not None:
             mode = "cached"
             if missing:
-                mode = "batch" if use_batch else (
-                    "pool" if self.workers >= 2 and len(missing) > 1 else "serial"
-                )
+                mode = "pool" if self.workers >= 2 and len(missing) > 1 else "serial"
             progress(
                 {
                     "event": "plan",
@@ -819,11 +887,8 @@ class SweepEngine:
                 }
             )
         if missing:
-            report.batch = use_batch
             self._check_cancel(cancel, report)
-            if use_batch:
-                self._run_batch(missing, results, report, progress, cancel)
-            elif self.workers >= 2 and len(missing) > 1:
+            if self.workers >= 2 and len(missing) > 1:
                 self._run_sharded(missing, results, report, progress, cancel)
             else:
                 self._run_serial(missing, results, report, progress, cancel)
@@ -842,13 +907,13 @@ class SweepEngine:
     @staticmethod
     def _emit_job(
         progress: Optional[ProgressFn],
-        job: SimJob,
-        seconds: float,
+        outcome: JobOutcome,
         done: int,
         missing: int,
     ) -> None:
         if progress is None:
             return
+        job = outcome.job
         progress(
             {
                 "event": "job",
@@ -856,11 +921,31 @@ class SweepEngine:
                 "label": job.label,
                 "mechanism": job.config.mechanism,
                 "nrh": job.config.nrh,
-                "seconds": seconds,
+                "seconds": outcome.seconds,
+                "shared": outcome.shared,
+                "diverged_cycle": outcome.diverged_cycle,
                 "done_jobs": done,
                 "missing_jobs": missing,
             }
         )
+
+    def _record(
+        self,
+        outcome: JobOutcome,
+        results: Dict[str, SimulationResult],
+        report: RunReport,
+        stored: bool = False,
+    ) -> None:
+        """Account one executed job (``stored``: already on disk)."""
+        job = outcome.job
+        self.executed_jobs += 1
+        if outcome.shared:
+            report.shared_jobs += 1
+        if stored:
+            self.cache.absorb(job.key, outcome.result)
+        else:
+            self.cache.put(job.key, outcome.result, job.cache_payload())
+        results[job.key] = outcome.result
 
     @staticmethod
     def _emit_shard(
@@ -885,17 +970,11 @@ class SweepEngine:
     ) -> None:
         shard_start = time.perf_counter()
         done = 0
-        for job in missing:
-            self._check_cancel(cancel, report)
-            job_start = time.perf_counter()
-            result = execute_job(job)
-            self.executed_jobs += 1
-            self.cache.put(job.key, result, job.cache_payload())
-            results[job.key] = result
+        for outcome in execute_jobs(missing):
+            self._record(outcome, results, report)
             done += 1
-            self._emit_job(
-                progress, job, time.perf_counter() - job_start, done, len(missing)
-            )
+            self._emit_job(progress, outcome, done, len(missing))
+            self._check_cancel(cancel, report)
         shard = ShardReport(
             shard=0,
             jobs=len(missing),
@@ -904,46 +983,6 @@ class SweepEngine:
         )
         report.shards.append(shard)
         self._emit_shard(progress, shard, done, len(missing))
-
-    def _run_batch(
-        self,
-        missing: List[SimJob],
-        results: Dict[str, SimulationResult],
-        report: RunReport,
-        progress: Optional[ProgressFn] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> None:
-        """Execute missing jobs through the batch-vectorized engine.
-
-        Jobs are grouped by shared trace/topology (one report shard per
-        batch group), each group runs on one set of precomputed trace
-        arrays and pooled buffers with the gated fast kernels enabled.
-        """
-        # Imported here: repro.experiments.batch imports this module.
-        from repro.experiments.batch import plan_batches
-
-        report.batch = True
-        done_jobs = 0
-        for index, group in enumerate(plan_batches(missing)):
-            self._check_cancel(cancel, report)
-            group_start = time.perf_counter()
-            for job, result in group.execute():
-                self.executed_jobs += 1
-                self.cache.put(job.key, result, job.cache_payload())
-                results[job.key] = result
-                done_jobs += 1
-                self._emit_job(progress, job, 0.0, done_jobs, len(missing))
-                self._check_cancel(cancel, report)
-            shard = ShardReport(
-                shard=index,
-                jobs=len(group.jobs),
-                estimated_cost=sum(
-                    estimate_job_cost(job) for job in group.jobs
-                ),
-                seconds=time.perf_counter() - group_start,
-            )
-            report.shards.append(shard)
-            self._emit_shard(progress, shard, done_jobs, len(missing))
 
     def _run_sharded(
         self,
@@ -973,15 +1012,10 @@ class SweepEngine:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 index, shard = pending.pop(future)
-                elapsed, executed = future.result()
-                for job, result in zip(shard, executed):
-                    self.executed_jobs += 1
-                    if stream_to_disk:
-                        # The worker already wrote the disk entry.
-                        self.cache.absorb(job.key, result)
-                    else:
-                        self.cache.put(job.key, result, job.cache_payload())
-                    results[job.key] = result
+                elapsed, outcomes = future.result()
+                for outcome in outcomes:
+                    # With a disk cache the worker already wrote the entry.
+                    self._record(outcome, results, report, stored=stream_to_disk)
                 done_jobs += len(shard)
                 shard_report = ShardReport(
                     shard=index,

@@ -33,7 +33,7 @@ CANONICAL_JSON_ALLOWED = ("src/repro/artifacts/spec.py",)
 
 #: Simulation packages that must stay deterministic run-to-run: the
 #: content-addressed ResultCache and every byte-identity pin
-#: (test_event_horizon.py, test_batch_equivalence.py, the golden
+#: (test_event_horizon.py, test_schedule_sharing.py, the golden
 #: regression) silently depend on it.
 DETERMINISM_TARGETS = (
     "src/repro/dram/",
@@ -53,7 +53,6 @@ HOT_PATH_FUNCTIONS = {
     "src/repro/controller/controller.py": frozenset({
         "MemoryController.tick",
         "MemoryController._next_event_hint",
-        "MemoryController._fold_bank_hint",
         "MemoryController._demand_ready_cycle",
         "MemoryController._service_demand",
         # The structure-of-arrays twins (the array bank backend's kernels).
@@ -128,8 +127,23 @@ CONFIG_MODULE = "src/repro/system/config.py"
 CONFIG_CLASS = "SystemConfig"
 PAYLOAD_MODULE = "src/repro/experiments/cache.py"
 PAYLOAD_FUNCTION = "config_payload"
-GROUP_KEY_MODULE = "src/repro/experiments/batch.py"
+GROUP_KEY_MODULE = "src/repro/experiments/sharing.py"
 GROUP_FREE_FIELDS_CONST = "GROUP_FREE_CONFIG_FIELDS"
+
+#: Where the mitigation mechanisms live, and the queries the memory
+#: controller (and schedule-sharing replay) polls on them.  These must not
+#: change mechanism state: replay soundness rests on mechanisms being pure
+#: functions of their ACT/PRE/REF hook stream.
+MECHANISM_QUERY_TARGETS = ("src/repro/core/",)
+MECHANISM_QUERIES = frozenset({
+    "backoff_asserted",
+    "wants_more_rfm",
+    "rfm_pending_banks",
+    "rfm_needed",
+    "has_pending_refreshes",
+    "pending_refresh",
+    "activations_until_next_backoff",
+})
 
 #: Default scan scope of ``python -m repro lint``.
 DEFAULT_SCAN_PATHS = ("src/repro",)

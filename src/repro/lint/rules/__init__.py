@@ -1,6 +1,6 @@
 """The reprolint rule catalogue.
 
-``default_rules()`` builds the six project rules with their manifests from
+``default_rules()`` builds the seven project rules with their manifests from
 :mod:`repro.lint.manifest`; tests construct individual rules with fixture
 manifests instead.
 """
@@ -15,6 +15,7 @@ from repro.lint.rules.canonical_json import CanonicalJsonRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.event_source import EventSourceRegistryRule
 from repro.lint.rules.hotpath import HotPathAllocationRule
+from repro.lint.rules.purity import MechanismQueryPurityRule
 from repro.lint.rules.security import NoReflectionRule
 
 __all__ = [
@@ -23,13 +24,14 @@ __all__ = [
     "DeterminismRule",
     "EventSourceRegistryRule",
     "HotPathAllocationRule",
+    "MechanismQueryPurityRule",
     "NoReflectionRule",
     "default_rules",
 ]
 
 
 def default_rules() -> List[Rule]:
-    """All six project rules with their committed manifests."""
+    """All seven project rules with their committed manifests."""
     return [
         NoReflectionRule(),
         HotPathAllocationRule(),
@@ -37,4 +39,5 @@ def default_rules() -> List[Rule]:
         CanonicalJsonRule(),
         CacheKeyCompletenessRule(),
         EventSourceRegistryRule(),
+        MechanismQueryPurityRule(),
     ]

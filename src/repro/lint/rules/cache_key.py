@@ -3,15 +3,15 @@
 The exact bug PR 1 fixed: the old baseline cache keyed on a hand-written
 subset of the config, so adding an IPC-relevant knob silently served stale
 results.  Today ``config_payload`` uses ``dataclasses.asdict`` (complete
-by construction) and the batch engine *subtracts* a short list of
-simulation-behaviour-free fields -- both of which can rot:
+by construction) and schedule sharing's group key *subtracts* a short list
+of fields a schedule group may vary in -- both of which can rot:
 
 * if ``config_payload`` is ever rewritten as an explicit dict, a missing
   ``SystemConfig`` field resurrects the stale-cache bug (and a key that is
   not a field serves nothing);
 * if a field named in ``GROUP_FREE_CONFIG_FIELDS`` is renamed on
-  ``SystemConfig``, the batch grouping's ``pop(name, None)`` silently
-  no-ops and jobs stop sharing groups (or worse, share wrongly).
+  ``SystemConfig``, the group key's ``pop(name, None)`` silently no-ops
+  and jobs stop sharing schedules.
 
 This rule parses the three modules and cross-checks the names statically.
 It is a :class:`ProjectRule`: the invariant spans files, so it runs once
@@ -114,8 +114,8 @@ def _string_tuple_const(tree: ast.Module, const_name: str):
 class CacheKeyCompletenessRule(ProjectRule):
     name = "cache-key-completeness"
     description = (
-        "SystemConfig fields, the cache config_payload keys and the batch "
-        "group-key field subtraction must agree"
+        "SystemConfig fields, the cache config_payload keys and the "
+        "schedule-group key's field subtraction must agree"
     )
 
     def __init__(
@@ -218,7 +218,7 @@ class CacheKeyCompletenessRule(ProjectRule):
     def _check_group_key(self, ctx: FileContext, fields: Set[str]) -> List[Finding]:
         node, names = _string_tuple_const(ctx.tree, self.free_fields_const)
         if node is None:
-            return []  # the batch engine may legitimately not exist in scans
+            return []  # the constant may legitimately not exist in scans
         findings: List[Finding] = []
         for name in names:
             if name not in fields:

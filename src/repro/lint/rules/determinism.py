@@ -1,7 +1,7 @@
 """Rule ``determinism``: simulation code must be reproducible run-to-run.
 
 The content-addressed ResultCache, the byte-identity pins
-(``test_event_horizon.py``, ``test_batch_equivalence.py``) and the golden
+(``test_event_horizon.py``, ``test_schedule_sharing.py``) and the golden
 regression all assume that a ``(config, trace seed)`` pair produces the
 same bytes on every run.  Three constructs silently break that:
 

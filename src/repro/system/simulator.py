@@ -22,10 +22,11 @@ the original hardwired design (pinned by the golden regression tests).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.controller.address_mapping import mapping_by_name
-from repro.controller.controller import MemoryController
+from repro.controller.controller import ControllerStats, MemoryController
 from repro.controller.request import RequestPool, RequestType
 
 #: Hoisted enum member for the completion-drain loop (attribute lookups on
@@ -38,7 +39,6 @@ from repro.cpu.core import Core
 from repro.cpu.trace import Trace
 from repro.dram.device import DramDevice
 from repro.dram.timing import ddr5_3200an
-from repro.dram.timing_plane import BankArrayTiming
 from repro.energy.drampower import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.system.config import SystemConfig
 from repro.system.metrics import (
@@ -54,6 +54,149 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (attacks -> sweep)
 FAR_FUTURE = 1 << 62
 
 
+def build_channel_setups(config: SystemConfig) -> List[MechanismSetup]:
+    """One mechanism instance per channel, as the simulator installs them.
+
+    Counter tables, back-off state and (for PARA) the RNG are per-channel
+    hardware.  Channel seeds are decorrelated; channel 0 keeps the config
+    seed, so single-channel systems are unchanged.
+    """
+    organization = config.organization
+    return [
+        build_mechanism(
+            config.mechanism,
+            nrh=config.nrh,
+            num_banks=organization.total_banks,
+            seed=config.seed + channel,
+        )
+        for channel in range(organization.channels)
+    ]
+
+
+@dataclass(frozen=True)
+class ChannelActivity:
+    """What one channel's DRAM command schedule determines."""
+
+    stats: ControllerStats
+    command_counts: Dict[str, int]
+    #: Victim rows an on-die mechanism refreshed inside RFM windows.
+    internal_victim_rows: int
+
+
+@dataclass(frozen=True)
+class ScheduleSummary:
+    """The part of a result fixed by the DRAM schedule alone.
+
+    Everything else in a :class:`SimulationResult` -- mechanism name and
+    statistics, energy, the security flag -- comes from the installed
+    mechanisms (see :func:`assemble_result`).
+    """
+
+    cycles: int
+    channels: List[ChannelActivity]
+    core_ipcs: List[float]
+    core_names: List[str]
+    llc_miss_rate: float
+
+
+def _channel_record(
+    channel: int,
+    activity: ChannelActivity,
+    setup: MechanismSetup,
+    cycles: int,
+    energy_model: EnergyModel,
+) -> Dict[str, object]:
+    """The per-channel stats record of one channel."""
+    stats = activity.stats
+    channel_mitigation: Dict[str, int] = {}
+    borrowed_rows = 0
+    for mechanism in setup.mechanisms():
+        for key, value in mechanism.stats.as_dict().items():
+            channel_mitigation[key] = channel_mitigation.get(key, 0) + value
+        borrowed_rows += mechanism.stats.borrowed_refreshes
+    breakdown = energy_model.compute(
+        command_counts=activity.command_counts,
+        cycles=cycles,
+        act_energy_multiplier=setup.act_energy_multiplier,
+        internal_victim_rows=activity.internal_victim_rows,
+        borrowed_refresh_rows=borrowed_rows,
+    )
+    return {
+        "channel": channel,
+        "reads_served": stats.reads_served,
+        "writes_served": stats.writes_served,
+        "row_hits": stats.row_hits,
+        "row_misses": stats.row_misses,
+        "row_conflicts": stats.row_conflicts,
+        "refreshes": stats.refreshes,
+        "rfms": stats.rfms,
+        "backoffs_observed": stats.backoffs_observed,
+        "preventive_refresh_rows": stats.preventive_refresh_rows,
+        "total_read_latency": stats.total_read_latency,
+        "average_read_latency": stats.average_read_latency(),
+        "command_counts": dict(activity.command_counts),
+        "mitigation_stats": channel_mitigation,
+        "energy_nj": breakdown.total,
+        "energy_breakdown": breakdown.as_dict(),
+    }
+
+
+def assemble_result(
+    config: SystemConfig,
+    workload_name: str,
+    setups: Sequence[MechanismSetup],
+    summary: ScheduleSummary,
+    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    oracle: Optional["DisturbanceOracle"] = None,
+) -> SimulationResult:
+    """Build the :class:`SimulationResult` of a finished schedule.
+
+    The one result-assembly path: a simulation passes its own state, and
+    schedule sharing (:mod:`repro.experiments.sharing`) passes a recorded
+    schedule plus the mechanisms it replayed over it.  Energy is computed
+    from each channel's mechanism (ACT energy multiplier, borrowed
+    refreshes), so a shared schedule still reports the job's own energy.
+    """
+    cycles = summary.cycles
+    channel_records = [
+        _channel_record(channel, activity, setup, cycles, energy_model)
+        for channel, (activity, setup) in enumerate(zip(summary.channels, setups))
+    ]
+    totals = aggregate_channel_stats(channel_records)
+
+    mitigation_stats: Dict[str, int] = {}
+    for record in channel_records:
+        for key, value in record["mitigation_stats"].items():
+            mitigation_stats[key] = mitigation_stats.get(key, 0) + value
+    if oracle is not None:
+        mitigation_stats.update(oracle.stats_dict())
+
+    # The raw latency sum stays per-channel only; system-wide it is
+    # reported as the read-weighted average (matching the seed layout).
+    controller_stats = {
+        key: totals[key]
+        for key in CHANNEL_COUNTER_KEYS
+        if key != "total_read_latency"
+    }
+    controller_stats["average_read_latency"] = totals["average_read_latency"]
+    controller_stats["llc_miss_rate"] = summary.llc_miss_rate
+    return SimulationResult(
+        mechanism=config.mechanism,
+        nrh=config.nrh,
+        workload=workload_name,
+        cycles=cycles,
+        core_ipcs=list(summary.core_ipcs),
+        core_names=list(summary.core_names),
+        command_counts=totals["command_counts"],
+        controller_stats=controller_stats,
+        mitigation_stats=mitigation_stats,
+        energy_nj=totals["energy_nj"],
+        energy_breakdown=totals["energy_breakdown"],
+        is_secure=setups[0].is_secure,
+        channel_stats=channel_records,
+    )
+
+
 class SystemSimulator:
     """One simulated multi-core system running one workload."""
 
@@ -65,11 +208,6 @@ class SystemSimulator:
         energy_model: Optional[EnergyModel] = None,
         oracle: Optional["DisturbanceOracle"] = None,
         strict_tick: bool = False,
-        llc: Optional[Cache] = None,
-        decode_cache: Optional[Dict[int, tuple]] = None,
-        core_trace_data: Optional[Sequence[tuple]] = None,
-        fast_kernels: bool = False,
-        timing_planes: Optional[Sequence["BankArrayTiming"]] = None,
     ) -> None:
         if len(traces) != config.num_cores:
             raise ValueError(
@@ -85,39 +223,10 @@ class SystemSimulator:
         #: event horizon.  Slow but trivially correct; the determinism
         #: harness asserts the event-driven path is byte-identical to it.
         self.strict_tick = strict_tick
-        # Batch-mode hooks (see repro.experiments.batch): a pooled LLC, a
-        # shared address-decode table, pre-decomposed per-core trace arrays
-        # and the controllers' gated fast kernels.  All observably identical
-        # to the defaults -- the batch equivalence tests pin byte-equal
-        # results -- so scalar runs simply leave them unset.
-        if llc is not None and (
-            llc.size_bytes != config.llc_size_bytes
-            or llc.associativity != config.llc_associativity
-            or llc.line_size != config.llc_line_size
-        ):
-            raise ValueError("pooled LLC geometry does not match the config")
-        if core_trace_data is not None and len(core_trace_data) != len(traces):
-            raise ValueError(
-                f"expected {len(traces)} per-core trace arrays, "
-                f"got {len(core_trace_data)}"
-            )
-        self.fast_kernels = fast_kernels
 
         organization = config.organization
         self.num_channels = organization.channels
-        # One mechanism instance per channel: counter tables, back-off state
-        # and (for PARA) the RNG are per-channel hardware.  Channel seeds are
-        # decorrelated; channel 0 keeps the config seed, so single-channel
-        # systems are unchanged.
-        self.setups: List[MechanismSetup] = [
-            build_mechanism(
-                config.mechanism,
-                nrh=config.nrh,
-                num_banks=organization.total_banks,
-                seed=config.seed + channel,
-            )
-            for channel in range(self.num_channels)
-        ]
+        self.setups: List[MechanismSetup] = build_channel_setups(config)
         self.setup: MechanismSetup = self.setups[0]
         timing = ddr5_3200an(
             prac=self.setup.use_prac_timings,
@@ -125,24 +234,9 @@ class SystemSimulator:
                 config.legacy_prac_timings and self.setup.use_prac_timings
             ),
         )
-        # Batch-mode hook: pre-allocated per-channel timing planes (pooled
-        # like counter buffers).  Passing a plane implies the array backend;
-        # DramDevice resets it, so pooled history can never leak in.
-        if timing_planes is not None and len(timing_planes) != self.num_channels:
-            raise ValueError(
-                f"expected {self.num_channels} timing planes, "
-                f"got {len(timing_planes)}"
-            )
         self.devices: List[DramDevice] = [
-            DramDevice(
-                organization,
-                timing,
-                mitigation=setup.on_die,
-                timing_plane=(
-                    timing_planes[channel] if timing_planes is not None else None
-                ),
-            )
-            for channel, setup in enumerate(self.setups)
+            DramDevice(organization, timing, mitigation=setup.on_die)
+            for setup in self.setups
         ]
         mapping = mapping_by_name(config.address_mapping, organization)
         self.controllers: List[MemoryController] = [
@@ -153,12 +247,11 @@ class SystemSimulator:
                 read_queue_size=config.read_queue_size,
                 write_queue_size=config.write_queue_size,
                 scheduler_cap=config.scheduler_cap,
-                fast_kernels=fast_kernels,
             )
             for device, setup in zip(self.devices, self.setups)
         ]
-        self.router = ChannelRouter(mapping, self.controllers, decode_cache=decode_cache)
-        self.llc = llc if llc is not None else Cache(
+        self.router = ChannelRouter(mapping, self.controllers)
+        self.llc = Cache(
             size_bytes=config.llc_size_bytes,
             associativity=config.llc_associativity,
             line_size=config.llc_line_size,
@@ -179,10 +272,6 @@ class SystemSimulator:
                 llc_hit_latency=config.llc_hit_latency,
                 bypass_llc=index in config.attacker_cores,
                 request_pool=self._request_pool,
-                trace_data=(
-                    core_trace_data[index] if core_trace_data is not None else None
-                ),
-                pooled_hits=fast_kernels,
             )
             for index, trace in enumerate(self.traces)
         ]
@@ -333,80 +422,31 @@ class SystemSimulator:
     # ------------------------------------------------------------------ #
     # Result assembly
     # ------------------------------------------------------------------ #
-    def _channel_record(self, channel: int, cycles: int) -> Dict[str, object]:
-        """The per-channel stats record of one channel."""
-        setup = self.setups[channel]
-        device = self.devices[channel]
-        stats = self.controllers[channel].stats
-        channel_mitigation: Dict[str, int] = {}
-        borrowed_rows = 0
-        for mechanism in setup.mechanisms():
-            for key, value in mechanism.stats.as_dict().items():
-                channel_mitigation[key] = channel_mitigation.get(key, 0) + value
-            borrowed_rows += mechanism.stats.borrowed_refreshes
-        breakdown = self.energy_model.compute(
-            command_counts=device.command_counts,
+    def schedule_summary(self, cycles: int) -> ScheduleSummary:
+        """The schedule-determined part of this run's result."""
+        return ScheduleSummary(
             cycles=cycles,
-            act_energy_multiplier=setup.act_energy_multiplier,
-            internal_victim_rows=device.internal_victim_rows,
-            borrowed_refresh_rows=borrowed_rows,
-        )
-        return {
-            "channel": channel,
-            "reads_served": stats.reads_served,
-            "writes_served": stats.writes_served,
-            "row_hits": stats.row_hits,
-            "row_misses": stats.row_misses,
-            "row_conflicts": stats.row_conflicts,
-            "refreshes": stats.refreshes,
-            "rfms": stats.rfms,
-            "backoffs_observed": stats.backoffs_observed,
-            "preventive_refresh_rows": stats.preventive_refresh_rows,
-            "total_read_latency": stats.total_read_latency,
-            "average_read_latency": stats.average_read_latency(),
-            "command_counts": dict(device.command_counts),
-            "mitigation_stats": channel_mitigation,
-            "energy_nj": breakdown.total,
-            "energy_breakdown": breakdown.as_dict(),
-        }
-
-    def _build_result(self, cycles: int) -> SimulationResult:
-        channel_records = [
-            self._channel_record(channel, cycles)
-            for channel in range(self.num_channels)
-        ]
-        totals = aggregate_channel_stats(channel_records)
-
-        mitigation_stats: Dict[str, int] = {}
-        for record in channel_records:
-            for key, value in record["mitigation_stats"].items():
-                mitigation_stats[key] = mitigation_stats.get(key, 0) + value
-        if self.oracle is not None:
-            mitigation_stats.update(self.oracle.stats_dict())
-
-        # The raw latency sum stays per-channel only; system-wide it is
-        # reported as the read-weighted average (matching the seed layout).
-        controller_stats = {
-            key: totals[key]
-            for key in CHANNEL_COUNTER_KEYS
-            if key != "total_read_latency"
-        }
-        controller_stats["average_read_latency"] = totals["average_read_latency"]
-        controller_stats["llc_miss_rate"] = self.llc.stats.miss_rate
-        return SimulationResult(
-            mechanism=self.config.mechanism,
-            nrh=self.config.nrh,
-            workload=self.workload_name,
-            cycles=cycles,
+            channels=[
+                ChannelActivity(
+                    stats=controller.stats,
+                    command_counts=dict(device.command_counts),
+                    internal_victim_rows=device.internal_victim_rows,
+                )
+                for controller, device in zip(self.controllers, self.devices)
+            ],
             core_ipcs=[core.ipc() for core in self.cores],
             core_names=[trace.name for trace in self.traces],
-            command_counts=totals["command_counts"],
-            controller_stats=controller_stats,
-            mitigation_stats=mitigation_stats,
-            energy_nj=totals["energy_nj"],
-            energy_breakdown=totals["energy_breakdown"],
-            is_secure=self.setup.is_secure,
-            channel_stats=channel_records,
+            llc_miss_rate=self.llc.stats.miss_rate,
+        )
+
+    def _build_result(self, cycles: int) -> SimulationResult:
+        return assemble_result(
+            self.config,
+            self.workload_name,
+            self.setups,
+            self.schedule_summary(cycles),
+            energy_model=self.energy_model,
+            oracle=self.oracle,
         )
 
 

@@ -18,7 +18,7 @@ the backend.  Four layers pin that:
 4. the full-simulator property test: for all 12 mechanisms x 1,2 channels
    the complete :class:`SimulationResult` payload is byte-identical across
    backends (``REPRO_BANK_BACKEND`` toggles the default the device
-   resolves), plus the batch engine's pooled-plane path.
+   resolves).
 """
 
 import json
@@ -40,7 +40,7 @@ from repro.dram.timing_plane import (
 from repro.experiments.cache import result_to_dict
 from repro.experiments.sweep import build_job_traces, mechanism_job
 from repro.system.config import paper_system_config
-from repro.system.simulator import SystemSimulator, simulate
+from repro.system.simulator import simulate
 
 TIMING = ddr5_3200an()
 
@@ -298,32 +298,8 @@ class TestBackendResolution:
         assert device.timing_plane is not None
         assert device.timing_plane.num_banks == organization.total_banks
 
-    def test_device_rejects_mis_sized_plane(self):
-        organization = paper_system_config().organization
-        with pytest.raises(ValueError, match="banks"):
-            DramDevice(organization, TIMING, timing_plane=BankArrayTiming(2))
-
-    def test_device_resets_adopted_plane(self):
-        organization = paper_system_config().organization
-        plane = BankArrayTiming(organization.total_banks)
-        plane.next_act.fill(123)
-        plane.open_row.fill(7)
-        device = DramDevice(organization, TIMING, timing_plane=plane)
-        assert device.timing_plane is plane
-        assert plane.is_pristine()
-
-
 class TestTimingPlane:
-    """The plane container itself: reset, pristine checks, twins."""
-
-    def test_reset_restores_construction_state(self):
-        plane = BankArrayTiming(8)
-        plane.next_act[3] = 99
-        plane.open_row[5] = 2
-        plane.last_act[5] = 40
-        assert not plane.is_pristine()
-        plane.reset()
-        assert plane.is_pristine()
+    """The plane container itself: storage twins and validation."""
 
     def test_memoryview_twins_share_storage(self):
         plane = BankArrayTiming(4)
@@ -331,8 +307,6 @@ class TestTimingPlane:
         assert int(plane.next_rd[1]) == 77
         plane.open_row[2] = 5
         assert plane.open_row_mv[2] == 5
-        plane.reset()
-        assert plane.next_rd_mv[1] == 0 and plane.open_row_mv[2] == NO_ROW
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError, match="num_banks"):
@@ -358,37 +332,3 @@ class TestFullSimulationEquivalence:
         object_payload = _result_payload(mechanism, channels, "object", monkeypatch)
         array_payload = _result_payload(mechanism, channels, "array", monkeypatch)
         assert object_payload == array_payload
-
-    def test_pooled_planes_identical_to_fresh(self, monkeypatch):
-        """Pre-allocated (dirty) planes change nothing observable."""
-        monkeypatch.delenv("REPRO_BANK_BACKEND", raising=False)
-        base = paper_system_config().with_overrides(channels=2)
-        job = mechanism_job(base, ("429.mcf", "401.bzip2"), "PRAC-4", 64, 300)
-        traces = build_job_traces(job)
-        fresh = simulate(job.config, traces, workload_name=job.workload_name)
-        total_banks = job.config.organization.total_banks
-        planes = [BankArrayTiming(total_banks) for _ in range(2)]
-        for plane in planes:
-            plane.next_act.fill(31337)  # dirty: adoption must reset it
-            plane.open_row.fill(3)
-        pooled = SystemSimulator(
-            job.config,
-            traces,
-            workload_name=job.workload_name,
-            timing_planes=planes,
-        ).run()
-        assert json.dumps(result_to_dict(fresh), sort_keys=True) == json.dumps(
-            result_to_dict(pooled), sort_keys=True
-        )
-
-    def test_simulator_validates_plane_count(self):
-        base = paper_system_config().with_overrides(channels=2)
-        job = mechanism_job(base, ("429.mcf", "401.bzip2"), "None", 64, 50)
-        traces = build_job_traces(job)
-        total_banks = job.config.organization.total_banks
-        with pytest.raises(ValueError, match="timing planes"):
-            SystemSimulator(
-                job.config,
-                traces,
-                timing_planes=[BankArrayTiming(total_banks)],
-            )

@@ -311,54 +311,3 @@ class TestFullSimulationEquivalence:
         assert setup.controller.backend == "array"
         with pytest.raises(ValueError):
             resolve_backend("btree")
-
-class TestCountBufferPooling:
-    """adopt/release of preallocated count arrays (the batch engine's pool).
-
-    Pooling is legal because array capacity is unobservable:
-    ``release_count_buffers`` resets through the order list, so a recycled
-    buffer is value-identical to a freshly allocated one.
-    """
-
-    def test_adopt_then_release_round_trip(self):
-        store = PerRowCounters(2, backend="array")
-        buffers = [[0] * 8, [0] * 4]
-        store.adopt_count_buffers(buffers)
-        store.increment(0, 3)
-        store.increment(0, 3)
-        store.increment(1, 1)
-        assert store.get(0, 3) == 2
-        returned = store.release_count_buffers()
-        assert returned is buffers
-        # Reset happened through the order list: values are zero again...
-        assert all(not any(bank) for bank in returned)
-        # ...and the store detached from the pooled arrays entirely.
-        store.increment(0, 3)
-        assert buffers[0][3] == 0
-
-    def test_pooled_store_matches_fresh_store(self):
-        pooled = PerRowCounters(1, backend="array")
-        pooled.adopt_count_buffers([[0] * 16])
-        fresh = PerRowCounters(1, backend="array")
-        for row in (3, 3, 7, 3, 15, 7):
-            assert pooled.increment(0, row) == fresh.increment(0, row)
-        pooled.reset_row(0, 3)
-        fresh.reset_row(0, 3)
-        assert list(pooled.iter_bank(0)) == list(fresh.iter_bank(0))
-        assert pooled.rows_at_or_above(0, 1) == fresh.rows_at_or_above(0, 1)
-        # Growth past the preallocated extent must keep working.
-        pooled.increment(0, 5000)
-        fresh.increment(0, 5000)
-        assert pooled.get(0, 5000) == fresh.get(0, 5000) == 1
-
-    def test_adopt_validates_bank_count(self):
-        store = PerRowCounters(2, backend="array")
-        with pytest.raises(ValueError, match="2 per-bank buffers"):
-            store.adopt_count_buffers([[0] * 4])
-
-    def test_dict_backend_refuses_pooling(self):
-        store = PerRowCounters(1, backend="dict")
-        with pytest.raises(NotImplementedError, match="'dict'"):
-            store.adopt_count_buffers([[0] * 4])
-        with pytest.raises(NotImplementedError, match="'dict'"):
-            store.release_count_buffers()

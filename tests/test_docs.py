@@ -30,6 +30,25 @@ class TestMarkdownLinks:
         assert completed.returncode == 1
         assert "nowhere.md" in completed.stdout
 
+    def test_checker_detects_dangling_anchors(self, tmp_path):
+        (tmp_path / "guide.md").write_text(
+            "# Guide\n\n## Schedule sharing\n\n```\n## not a heading\n```\n"
+        )
+        (tmp_path / "doc.md").write_text(
+            "[ok](guide.md#schedule-sharing) [here](#local-part)\n"
+            "## Local part\n"
+            "[gone](guide.md#batch-mode) [fenced](guide.md#not-a-heading)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, str(CHECKER), str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == 1
+        assert "guide.md#batch-mode" in completed.stdout
+        assert "guide.md#not-a-heading" in completed.stdout
+        assert "schedule-sharing" not in completed.stdout
+        assert "local-part" not in completed.stdout
+
 
 class TestEntryDocuments:
     def test_readme_exists_and_covers_the_basics(self):
@@ -87,7 +106,7 @@ class TestEntryDocuments:
             "python -m repro lint", "tools/reprolint.py",
             "no-reflection", "hot-path-alloc", "determinism",
             "canonical-json", "cache-key-completeness",
-            "event-source-registry", "bad-suppression",
+            "event-source-registry", "mechanism-query-purity", "bad-suppression",
             "reprolint: disable=", "--write-baseline",
             "tools/reprolint_baseline.json", "ruff",
         ):
@@ -125,10 +144,36 @@ class TestEntryDocuments:
         for needle in (
             "Structure-of-arrays bank timing", "BankArrayTiming",
             "REPRO_BANK_BACKEND", "memoryview", "TimingViolation",
-            "tests/test_bank_backends.py", "acquire_planes",
+            "tests/test_bank_backends.py", "_mech_scan_hint",
             "_demand_ready_cycle_vector",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+
+    def test_architecture_doc_covers_schedule_sharing(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in (
+            "## Schedule sharing", "schedule_group_key",
+            "GROUP_FREE_CONFIG_FIELDS", "add_refresh_listener",
+            "assemble_result", "Why it is sound",
+            "Keeping a new mechanism shareable", "mechanism-query-purity",
+            "tests/test_schedule_sharing.py",
+        ):
+            assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+        assert "Batch-vectorized" not in architecture
+
+    def test_experiments_and_service_docs_cover_share_telemetry(self):
+        experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in ("## Schedule sharing", "diverged_cycle", "11 shared",
+                       "EXPECTED_QUICK_SHARED_JOBS"):
+            assert needle in experiments, f"EXPERIMENTS.md is missing {needle!r}"
+        assert "--batch" not in experiments
+        service = (REPO_ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
+        for needle in ("`shared`", "`diverged_cycle`", "shared_jobs"):
+            assert needle in service, f"SERVICE.md is missing {needle!r}"
 
     def test_experiments_doc_covers_bank_backend_and_readiness_scan(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(

@@ -44,6 +44,7 @@ from repro.lint.rules import (  # noqa: E402
     DeterminismRule,
     EventSourceRegistryRule,
     HotPathAllocationRule,
+    MechanismQueryPurityRule,
     NoReflectionRule,
     default_rules,
 )
@@ -385,6 +386,87 @@ class TestCanonicalJsonRule:
 
 
 # --------------------------------------------------------------------------- #
+# mechanism-query-purity
+# --------------------------------------------------------------------------- #
+
+MECHANISM_PATH = "src/repro/core/fixture.py"
+
+
+def lint_mechanism(source, rel_path=MECHANISM_PATH):
+    return lint_source(MechanismQueryPurityRule(), source, rel_path=rel_path)
+
+
+class TestMechanismQueryPurityRule:
+    def test_fires_on_self_assignment_in_query(self):
+        findings = lint_mechanism(
+            """\
+            class Prac:
+                def backoff_asserted(self):
+                    self.polls = self.polls + 1
+                    return self._backoff
+            """
+        )
+        assert rule_names(findings) == ["mechanism-query-purity"]
+        assert "backoff_asserted()" in findings[0].message
+
+    def test_fires_on_augmented_subscript_and_delete(self):
+        findings = lint_mechanism(
+            """\
+            class Prfm:
+                def rfm_pending_banks(self):
+                    self.counts[0] += 1
+                    del self.cache[3]
+                    return self._banks
+            """
+        )
+        assert rule_names(findings) == [
+            "mechanism-query-purity", "mechanism-query-purity",
+        ]
+
+    def test_fires_on_mutator_call_on_self_state(self):
+        findings = lint_mechanism(
+            """\
+            class Graphene:
+                def has_pending_refreshes(self):
+                    self._pending.pop(0, None)
+                    return bool(self._pending)
+            """
+        )
+        assert rule_names(findings) == ["mechanism-query-purity"]
+        assert ".pop()" in findings[0].message
+
+    def test_quiet_on_reading_queries(self):
+        findings = lint_mechanism(
+            """\
+            class Chronus:
+                def backoff_asserted(self):
+                    return self._hot_total > 0
+
+                def pending_refresh(self, bank_id):
+                    queue = self._pending.get(bank_id)
+                    rows = []
+                    rows.append(queue)
+                    return queue[0] if queue else None
+
+                def on_activate(self, bank_id, row, cycle):
+                    self.counts[bank_id] += 1
+                    self._pending.clear()
+            """
+        )
+        assert findings == []
+
+    def test_scoped_to_mechanism_package(self):
+        source = """\
+            class Device:
+                def backoff_asserted(self):
+                    self.asked = True
+                    return False
+            """
+        assert lint_mechanism(source, rel_path="src/repro/dram/device.py") == []
+        assert lint_mechanism(source) != []
+
+
+# --------------------------------------------------------------------------- #
 # cache-key-completeness
 # --------------------------------------------------------------------------- #
 
@@ -406,7 +488,7 @@ def cache_key_project(payload_src, tmp_path, group_src=None):
         "src/repro/experiments/cache.py": payload_src,
     }
     if group_src is not None:
-        files["src/repro/experiments/batch.py"] = group_src
+        files["src/repro/experiments/sharing.py"] = group_src
     contexts = {}
     for rel_path, source in files.items():
         source = textwrap.dedent(source)
@@ -851,6 +933,14 @@ VIOLATIONS = {
             class BurstPattern:
                 def next_event_cycle(self):
                     return 0
+            """,
+    },
+    "mechanism-query-purity": {
+        "src/repro/core/evil.py": """\
+            class Hydra:
+                def has_pending_refreshes(self):
+                    self._polls += 1
+                    return False
             """,
     },
 }

@@ -2,8 +2,9 @@
 
 These are the SweepEngine features the simulation service is built on:
 ``run_jobs(progress=..., cancel=...)``, structured :class:`RunReport`
-serialisation, and the atexit/context-manager pool reaping that keeps
-interrupted runs from leaking worker processes.
+serialisation (including the schedule-sharing telemetry), and the
+atexit/context-manager pool reaping that keeps interrupted runs from
+leaking worker processes.
 """
 
 import dataclasses
@@ -34,12 +35,8 @@ class TestProgressEvents:
         results = engine.run(SPEC, progress=events.append)
         return engine, events, results
 
-    @pytest.mark.parametrize("engine_kwargs", [
-        {"workers": 0},
-        {"batch": True},
-    ])
-    def test_event_stream_shape(self, engine_kwargs):
-        engine, events, results = self.run_with_progress(**engine_kwargs)
+    def test_event_stream_shape(self):
+        engine, events, results = self.run_with_progress(workers=0)
         kinds = [event["event"] for event in events]
         assert kinds[0] == "plan"
         assert kinds[-1] == "report"
@@ -48,10 +45,14 @@ class TestProgressEvents:
         plan = events[0]
         assert plan["total_jobs"] == len(results)
         assert plan["missing_jobs"] == len(results)
-        assert plan["mode"] == ("batch" if engine_kwargs.get("batch") else "serial")
+        assert plan["mode"] == "serial"
         # Per-job events count up monotonically to completion.
         done = [event["done_jobs"] for event in events if event["event"] == "job"]
         assert done == list(range(1, len(results) + 1))
+        for event in events:
+            if event["event"] == "job":
+                assert isinstance(event["shared"], bool)
+                assert "diverged_cycle" in event
         # Every event is JSON-serialisable as-is (the service sends them raw).
         json.dumps(events)
 
@@ -70,6 +71,40 @@ class TestProgressEvents:
         assert events[-1]["report"]["engine"] == "cached"
 
 
+class TestShareTelemetry:
+    """``shared`` / ``diverged_cycle`` job fields and ``shared_jobs``."""
+
+    def job_events(self, spec):
+        engine = SweepEngine(workers=0)
+        events = []
+        engine.run(spec, progress=events.append)
+        jobs = [event for event in events if event["event"] == "job"]
+        return engine, jobs
+
+    def test_quiet_mechanisms_share_the_baseline_schedule(self):
+        # The 1-core baseline doubles as the alone run; Chronus never backs
+        # off at these thresholds, so both sweep points replay its schedule.
+        engine, jobs = self.job_events(SPEC)
+        assert [(job["mechanism"], job["shared"]) for job in jobs] == [
+            ("None", False), ("Chronus", True), ("Chronus", True),
+        ]
+        assert [job["diverged_cycle"] for job in jobs] == [None, None, None]
+        report = engine.last_run_report
+        assert report.shared_jobs == 2
+        assert report.executed_jobs == engine.executed_jobs == 3
+        assert report.as_dict()["shared_jobs"] == 2
+        assert "2 shared" in report.summary_lines()[0]
+
+    def test_acting_mechanism_reports_its_divergence_cycle(self):
+        spec = dataclasses.replace(SPEC, mechanisms=("PRFM",), nrh_values=(20,))
+        engine, jobs = self.job_events(spec)
+        baseline, prfm = jobs
+        assert (baseline["shared"], baseline["diverged_cycle"]) == (False, None)
+        assert prfm["shared"] is False
+        assert isinstance(prfm["diverged_cycle"], int) and prfm["diverged_cycle"] > 0
+        assert engine.last_run_report.shared_jobs == 0
+
+
 class TestRunReportAsDict:
     def test_as_dict_is_json_round_trippable(self):
         engine = SweepEngine(workers=0)
@@ -78,6 +113,7 @@ class TestRunReportAsDict:
         assert json.loads(json.dumps(data)) == data
         assert data["engine"] == "serial"
         assert data["total_jobs"] == data["executed_jobs"] > 0
+        assert 0 <= data["shared_jobs"] <= data["executed_jobs"]
         assert data["cache_hit_rate"] == 0.0
         assert data["wall_seconds"] >= 0.0
         assert isinstance(data["shards"], list)

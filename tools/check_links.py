@@ -4,9 +4,9 @@
 Scans every ``*.md`` file under the repository root (skipping dot-directories
 and caches) for inline Markdown links ``[text](target)`` and verifies that
 each *relative* target exists on disk.  External links (``http(s)://``,
-``mailto:``) and pure in-page anchors (``#section``) are skipped; a relative
-target may carry an anchor suffix, which is stripped before the existence
-check.
+``mailto:``) are skipped.  An anchor (``#section``, in-page or after a
+Markdown target) must name a heading of that document, using GitHub's
+heading slugs -- so renaming a section cannot leave links dangling.
 
 Exit status: 0 when every link resolves, 1 otherwise (one diagnostic line per
 broken link) -- suitable as a CI step and callable from the test suite.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 #: Inline Markdown link: [text](target).  Images ![alt](target) match too via
 #: the optional leading "!".
@@ -32,6 +32,35 @@ SKIPPED_FILES = {"PAPER.md", "PAPERS.md", "SNIPPETS.md"}
 
 #: Link schemes that are not local files.
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+#: An ATX heading line (``## Title``).
+HEADING_PATTERN = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
+
+
+def heading_slug(title: str) -> str:
+    """GitHub's anchor for a heading: lowercase, punctuation other than
+    ``-`` and ``_`` dropped, spaces turned into hyphens."""
+    return re.sub(r"[^\w\- ]", "", title.lower()).replace(" ", "-")
+
+
+def anchors(text: str) -> Set[str]:
+    """Every heading anchor of a Markdown document (fenced code skipped;
+    repeated headings get GitHub's ``-1``, ``-2`` suffixes)."""
+    found: Set[str] = set()
+    seen: Dict[str, int] = {}
+    in_fence = False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        match = None if in_fence else HEADING_PATTERN.match(line)
+        if match is None:
+            continue
+        slug = heading_slug(match.group(1))
+        repeat = seen.get(slug, 0)
+        seen[slug] = repeat + 1
+        found.add(f"{slug}-{repeat}" if repeat else slug)
+    return found
 
 
 def markdown_files(root: Path) -> Iterator[Path]:
@@ -50,17 +79,20 @@ def extract_links(text: str) -> List[str]:
 
 
 def broken_links(root: Path) -> List[Tuple[Path, str]]:
-    """All (file, target) pairs whose relative target does not resolve."""
+    """All (file, target) pairs whose relative target or anchor does not
+    resolve."""
     broken: List[Tuple[Path, str]] = []
     for markdown in markdown_files(root):
         for target in extract_links(markdown.read_text(encoding="utf-8")):
-            if target.startswith(EXTERNAL_PREFIXES) or target.startswith("#"):
+            if target.startswith(EXTERNAL_PREFIXES):
                 continue
-            local = target.split("#", 1)[0]
-            if not local:
-                continue
-            resolved = (markdown.parent / local).resolve()
+            local, _, anchor = target.partition("#")
+            resolved = (markdown.parent / local).resolve() if local else markdown
             if not resolved.exists():
+                broken.append((markdown, target))
+            elif anchor and resolved.suffix == ".md" and anchor not in anchors(
+                resolved.read_text(encoding="utf-8")
+            ):
                 broken.append((markdown, target))
     return broken
 
