@@ -23,8 +23,9 @@ for the exact budgets used for the recorded results).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.sweep import (
@@ -228,9 +229,19 @@ class ExperimentRunner:
         }
 
 
+@functools.lru_cache(maxsize=8)
+def _mix_table(seed: int) -> Tuple[WorkloadMix, ...]:
+    """The paper's 60 mixes for ``seed``, built once per process."""
+    return tuple(workload_mixes(mixes_per_type=10, seed=seed))
+
+
 def default_mixes(count: int, mix_types: Optional[Sequence[str]] = None, seed: int = 42) -> List[WorkloadMix]:
-    """A deterministic subset of the paper's 60 mixes, spread across types."""
-    all_mixes = workload_mixes(mixes_per_type=10, seed=seed)
+    """A deterministic subset of the paper's 60 mixes, spread across types.
+
+    Every call returns a fresh list (callers may mutate it); the shared
+    :class:`WorkloadMix` entries are frozen.
+    """
+    all_mixes = list(_mix_table(seed))
     if mix_types is not None:
         all_mixes = [mix for mix in all_mixes if mix.mix_type in mix_types]
     if count >= len(all_mixes):

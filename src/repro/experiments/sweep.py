@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import functools
 import os
 import threading
 import time
@@ -208,9 +209,15 @@ class SimJob:
             payload["attack"] = self.attack.as_payload()
         return payload
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
-        """Content hash identifying this simulation."""
+        """Content hash identifying this simulation.
+
+        Computed once per instance: the job and everything it holds are
+        frozen, so the hash cannot go stale.  The memo lives outside the
+        dataclass fields (``==``, ``hash()`` and ``dataclasses.replace``
+        ignore it) and travels with the job when it is pickled to a worker.
+        """
         return job_key(self.cache_payload())
 
     @property

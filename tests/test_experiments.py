@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, runner as runner_module
 from repro.experiments.runner import ExperimentRunner, default_mixes
 
 
@@ -48,6 +48,74 @@ class TestRunner:
         assert len(mixes) == 6
         assert len({mix.mix_type for mix in mixes}) == 6
         assert len(default_mixes(3, mix_types=["HHHH"])) == 3
+
+
+#: ``default_mixes`` selections recorded before the mix table was memoised.
+PINNED_MIXES = {
+    (3, None, 42): [
+        ("hhhh_00", ("549.fotonik3d", "429.mcf", "437.leslie3d", "510.parest")),
+        ("hhmm_00", ("505.mcf", "507.cactuBSSN", "tpch6", "433.milc")),
+        ("hhll_00", ("482.sphinx3", "470.lbm", "454.calculix", "456.hmmer")),
+    ],
+    (4, ("HHHH", "LLLL"), 42): [
+        ("hhhh_00", ("549.fotonik3d", "429.mcf", "437.leslie3d", "510.parest")),
+        ("llll_00", ("526.blender", "454.calculix", "465.tonto", "511.povray")),
+        ("hhhh_01", ("510.parest", "459.GemsFDTD", "549.fotonik3d", "436.cactusADM")),
+        ("llll_01", ("447.dealII", "gs", "444.namd", "h264_decode")),
+    ],
+    (2, ("MMLL",), 7): [
+        ("mmll_00", ("523.xalancbmk", "jp2_decode", "525.x264", "456.hmmer")),
+        ("mmll_01", ("462.soplex-pds", "403.gcc", "447.dealII", "541.leela")),
+    ],
+    (5, None, 1): [
+        ("hhhh_00", ("459.GemsFDTD", "jp2_encode", "462.libquantum", "437.leslie3d")),
+        ("hhmm_00", ("510.parest", "520.omnetpp", "ycsb_aserver", "450.soplex")),
+        ("hhll_00", ("429.mcf", "tpch17", "456.hmmer", "400.perlbench")),
+        ("mmmm_00", ("445.gobmk", "ycsb_eserver", "jp2_decode", "ycsb_cserver")),
+        ("mmll_00", ("h264_encode", "ycsb_bserver", "511.povray", "511.povray")),
+    ],
+}
+
+
+class TestDefaultMixesMemo:
+    """The 60-mix table is built once per seed; callers still get fresh lists."""
+
+    @pytest.mark.parametrize("args", list(PINNED_MIXES))
+    def test_selection_matches_the_pinned_values(self, args):
+        count, mix_types, seed = args
+        for _ in range(2):
+            mixes = default_mixes(count, mix_types=mix_types, seed=seed)
+            assert [(mix.name, mix.applications) for mix in mixes] == PINNED_MIXES[args]
+
+    @pytest.mark.parametrize("count", [3, 60, 100])
+    def test_mutating_a_result_does_not_leak_into_the_next_call(self, count):
+        first = default_mixes(count)
+        expected = list(first)
+        first.clear()
+        first.append("junk")
+        assert default_mixes(count) == expected
+        assert len(expected) == min(count, 60)
+
+    def test_table_is_built_once_per_seed(self, monkeypatch):
+        builds = []
+        real_workload_mixes = runner_module.workload_mixes
+
+        def counting_workload_mixes(*args, **kwargs):
+            builds.append(kwargs.get("seed"))
+            return real_workload_mixes(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "workload_mixes", counting_workload_mixes)
+        runner_module._mix_table.cache_clear()
+        for _ in range(3):
+            default_mixes(6)
+            default_mixes(60, mix_types=["HHHH"])
+        assert builds == [42]
+        default_mixes(6, seed=7)
+        assert builds == [42, 7]
+
+    def test_different_seeds_give_different_tables(self):
+        assert default_mixes(60, seed=1) != default_mixes(60, seed=2)
+        assert default_mixes(60, seed=1) == default_mixes(60, seed=1)
 
 
 class TestAnalyticalFigures:

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.experiments import runner, sweep
 from repro.experiments.sweep import (
     RunReport,
     SweepCancelled,
@@ -33,7 +34,7 @@ from repro.service.queue import (
     RateLimited,
     TokenBucket,
 )
-from repro.service.server import SimulationService
+from repro.service.server import SimulationService, result_summary
 from repro.service.specs import SpecError, parse_submission
 
 TINY_SWEEP = {
@@ -190,6 +191,56 @@ class TestParseSubmission:
         }
         with pytest.raises(SpecError, match="split it"):
             parse_submission({"kind": "sweep", "spec": spec})
+
+
+class TestCachedSubmissionCost:
+    """Machine-independent gate on the cached-submission path.
+
+    A fully cached submission goes through the stages the service runs --
+    parse, admission's ``cached_jobs`` count, the engine, the ``done``
+    summaries -- and must hash each job's content key exactly once, simulate
+    nothing, and build the workload-mix table at most once per process.
+    """
+
+    BODY = {"kind": "sweep", "client": "alice", "spec": dict(TINY_SWEEP)}
+
+    def test_each_job_is_keyed_once_and_nothing_simulates(self, monkeypatch):
+        engine = SweepEngine()
+        engine.run_jobs(parse_submission(self.BODY).jobs)  # warm the cache
+        executed_before = engine.executed_jobs
+
+        key_computations = []
+        real_job_key = sweep.job_key
+
+        def counting_job_key(payload):
+            key_computations.append(payload)
+            return real_job_key(payload)
+
+        table_builds = []
+        real_workload_mixes = runner.workload_mixes
+
+        def counting_workload_mixes(*args, **kwargs):
+            table_builds.append(kwargs)
+            return real_workload_mixes(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "job_key", counting_job_key)
+        monkeypatch.setattr(runner, "workload_mixes", counting_workload_mixes)
+        runner._mix_table.cache_clear()
+        for _ in range(2):
+            key_computations.clear()
+            submission = parse_submission(self.BODY)
+            jobs = submission.jobs
+            cached = sum(1 for job in jobs if engine.cache.contains(job.key))
+            results = engine.run_jobs(jobs)
+            summaries = [result_summary(job, results[job.key]) for job in jobs]
+            # 4 alone runs + 1 baseline + 1 Chronus run.
+            assert len(jobs) == 6
+            assert cached == len(jobs)
+            assert len(summaries) == len(jobs)
+            assert len(key_computations) == len(jobs)
+        assert engine.executed_jobs == executed_before
+        assert engine.last_run_report.executed_jobs == 0
+        assert len(table_builds) == 1
 
 
 # --------------------------------------------------------------------------- #

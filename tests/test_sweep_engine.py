@@ -1,14 +1,19 @@
 """Tests for the sweep engine: expansion, determinism, caching, CLI."""
 
+import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
+from repro.attacks.patterns import AttackSpec
 from repro.cli import main as cli_main
+from repro.experiments import sweep
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
+    job_key,
     result_from_dict,
     result_to_dict,
 )
@@ -20,6 +25,7 @@ from repro.experiments.sweep import (
     SweepSpec,
     alone_job,
     attack_job,
+    attack_search_job,
     baseline_job,
     build_job_traces,
     default_workers,
@@ -144,6 +150,81 @@ class TestJobKeys:
         peaceful = mechanism_job(base, ("429.mcf", "401.bzip2", "403.gcc"),
                                  "PRAC-4", 64, ACCESSES)
         assert job.key != peaceful.key
+
+
+def _key_job(kind: str) -> SimJob:
+    """A freshly built (never keyed) job of each kind the engine runs."""
+    base = paper_system_config()
+    apps = ("429.mcf", "401.bzip2")
+    if kind == "mixed":
+        return mechanism_job(base, apps, "Chronus", 64, ACCESSES)
+    if kind == "alone":
+        return alone_job(base, "429.mcf", ACCESSES)
+    if kind == "baseline":
+        return baseline_job(base, apps, ACCESSES)
+    if kind == "attack":
+        return attack_job(base, apps, "PRAC-4", 64, ACCESSES, attack_accesses=500)
+    return attack_search_job(base, "Chronus", 64, AttackSpec(pattern="single_sided"))
+
+
+KEY_JOB_KINDS = ("mixed", "alone", "baseline", "attack", "attack_search")
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Counts every content-key computation ``SimJob.key`` performs."""
+    calls = []
+
+    def counting_job_key(payload):
+        calls.append(payload)
+        return job_key(payload)
+
+    monkeypatch.setattr(sweep, "job_key", counting_job_key)
+    return calls
+
+
+class TestJobKeyMemo:
+    """``SimJob.key`` is hashed once per instance and is otherwise invisible."""
+
+    @pytest.mark.parametrize("kind", KEY_JOB_KINDS)
+    def test_key_equals_hash_of_payload_and_is_computed_once(self, kind, key_calls):
+        job = _key_job(kind)
+        assert job.key == job_key(job.cache_payload())
+        assert job.key == job_key(job.cache_payload())
+        assert len(key_calls) == 1
+
+    @pytest.mark.parametrize("kind", KEY_JOB_KINDS)
+    def test_replace_gets_a_fresh_key(self, kind, key_calls):
+        job = _key_job(kind)
+        original = job.key
+        bumped = dataclasses.replace(job, seed=job.seed + 1)
+        assert bumped.key != original
+        assert bumped.key == job_key(bumped.cache_payload())
+        assert len(key_calls) == 2
+        assert job.key == original
+
+    @pytest.mark.parametrize("kind", KEY_JOB_KINDS)
+    def test_pickle_round_trip_keeps_key_and_equality(self, kind, key_calls):
+        job = _key_job(kind)
+        unkeyed = pickle.loads(pickle.dumps(job))
+        original = job.key
+        keyed = pickle.loads(pickle.dumps(job))
+        assert unkeyed == job == keyed
+        assert hash(unkeyed) == hash(job) == hash(keyed)
+        assert keyed.key == unkeyed.key == original
+        # The worker-bound copy carries the memo; the unkeyed one hashed once.
+        assert len(key_calls) == 2
+
+    @pytest.mark.parametrize("kind", KEY_JOB_KINDS)
+    def test_memo_does_not_change_identity_or_fields(self, kind):
+        keyed, twin = _key_job(kind), _key_job(kind)
+        fields_before = [field.name for field in dataclasses.fields(keyed)]
+        assert keyed.key
+        assert keyed == twin and hash(keyed) == hash(twin)
+        assert repr(keyed) == repr(twin)
+        assert dataclasses.asdict(keyed) == dataclasses.asdict(twin)
+        assert [field.name for field in dataclasses.fields(keyed)] == fields_before
+        assert "key" not in fields_before
 
 
 class TestDeterminism:
