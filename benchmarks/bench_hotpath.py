@@ -19,9 +19,9 @@ The JSON carries:
   ``--tolerance`` (default 30%, env ``REPRO_BENCH_TOLERANCE``).  Since the
   structure-of-arrays timing plane landed, the reference also records
   ``readiness_scan`` -- the exclusive profile time the controller spends in
-  its readiness-scan kernel family (demand-scan entry, vector fold, hint
-  maintenance) on one profiled workload, so the cost the SoA plane attacks
-  stays measured, not assumed.
+  its readiness-scan kernel family (demand scan and hint maintenance) on
+  one profiled workload, so the cost the SoA plane attacks stays measured,
+  not assumed.
 * ``seed_engine`` -- the recorded wall-clock of the pre-event-horizon seed
   engine on the same workload set (measured once while both engines existed
   in the tree), giving the speedup trajectory its anchor: the event-horizon
@@ -90,12 +90,6 @@ READINESS_KERNELS = frozenset(
     {
         "_demand_ready_cycle",
         "_demand_ready_cycle_array",
-        "_demand_ready_cycle_vector",
-        "_bank_demand_ready",
-        "_bank_demand_ready_array",
-        "_fold_bank_hint",
-        "_fold_bank_hint_array",
-        "_fold_stream",
     }
 )
 

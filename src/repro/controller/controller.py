@@ -13,24 +13,38 @@ controller side:
   back-off asserted for Chronus.
 
 The controller issues at most one DRAM command per cycle (single command
-bus).  ``tick`` returns whether a command was issued plus a hint of the next
-cycle at which the controller could do useful work, which the system
-simulator uses to skip idle cycles.
+bus).  ``tick`` returns whether a command was issued plus the next cycle at
+which ticking again may issue a command or change controller state; the
+system simulator sleeps the controller until then.
 
-Hot-path design (the event-horizon engine):
+The wake contract (the event-horizon engine).  The controller owns command
+readiness -- after an idle tick *and* after an issue:
 
-* Demand queues are **bucketed per bank** and the buckets are maintained
-  incrementally on enqueue/dequeue, so neither the FR-FCFS scan, the
-  first-ready fallback, nor the wake-hint computation ever rescans the flat
-  queue per candidate.
-* The wake hint (:meth:`next_event_cycle`) is *precise*: it covers every
-  event source that can unblock the controller -- per-bank command readiness,
-  rank-level tRRD/tFAW release, the earliest periodic-refresh due cycle
-  (a time skip must never jump past a tREFI boundary), the back-off recovery
-  deadline, pending preventive refreshes and pending RFMs, and in-flight
-  read completions.  A hint that fires early merely costs a wasted wake; a
-  hint that fires late would silently change simulated behaviour, which the
-  strict-tick determinism harness guards against.
+* after an idle tick the hint (:meth:`next_event_cycle`) covers every event
+  source that can unblock the controller: per-bank command readiness,
+  rank-level tRRD/tFAW release, the earliest periodic-refresh due cycle (a
+  time skip must never jump past a tREFI boundary), the back-off recovery
+  deadline, and the readiness of banks with pending preventive refreshes or
+  RFMs;
+* after an issue the array kernels return the same exact hint unless
+  something could issue at ``cycle + 1`` (see
+  :meth:`_post_issue_hint_array`), in which case it is ``cycle + 1``; the
+  object bank backend always returns ``cycle + 1`` and stays the reference;
+* an enqueue lowers ``_wake_cycle`` (the cycle the router next ticks this
+  controller) to the new request's bank readiness, or forces a tick in the
+  same cycle when the request could issue at once or flips the write-drain
+  flag (the object backend always forces it).
+
+In-flight read completions are not controller events: the
+:class:`~repro.controller.router.ChannelRouter` retires them
+(:meth:`MemoryController.retire_reads`) and the run loop wakes for them.  A
+hint that fires early merely costs a wasted wake; a hint that fires late
+would silently change simulated behaviour, which the strict-tick determinism
+harness guards against.
+
+Demand queues are bucketed per bank and maintained incrementally on
+enqueue/dequeue, so neither the FR-FCFS scan, the first-ready fallback, nor
+the wake-hint computation ever rescans a flat queue per candidate.
 """
 
 from __future__ import annotations
@@ -38,8 +52,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.controller.address_mapping import AddressMapping
 from repro.controller.request import MemoryRequest, RequestType
@@ -56,12 +68,16 @@ FAR_FUTURE = 1 << 62
 #: per-issue hot path does not build a closure per call.
 _BY_REQUEST_ID = operator.attrgetter("request_id")
 
-#: Queued-bank count at which the array kernels switch from scalar plane
-#: reads to full vectorized folds.  Below this, NumPy ufunc dispatch costs
-#: more than the Python loop it replaces (the scans visit only the queued
-#: buckets); above it, one fold beats per-bank work.  Both paths compute
-#: identical results -- the threshold trades wall-clock only.
-_VECTOR_SCAN_MIN_BANKS = 64
+#: Hoisted enum member: the enqueue path tests the request type by identity
+#: instead of through the ``is_read`` property.
+_READ = RequestType.READ
+
+#: Queued buckets (read plus write) above which the post-issue hint skips
+#: its guards and demand rescan and returns ``cycle + 1``.  With that much
+#: queued demand a bank is almost always ready: on the paper's four-core
+#: Fig. 8 mix only 0.2-1.4% of post-issue hints taken past 10 queued
+#: buckets were exact, so the rescan cost more than the ticks it saved.
+_EXACT_HINT_MAX_BUCKETS = 16
 
 
 @dataclass(slots=True)
@@ -132,6 +148,10 @@ class MemoryController:
         self._rank_demand: List[int] = [0] * self.organization.ranks
         self._banks_per_rank = self.organization.banks_per_rank
         self._all_banks: List[int] = list(range(self.organization.total_banks))
+        # Issued reads awaiting their data, in completion order (issue cycle
+        # + a constant).  The ChannelRouter retires them (retire_reads) and
+        # reads the head's completion cycle as a run-loop event; like
+        # ``_completed`` below, the name is part of the hot-path contract.
         self._inflight_reads: List[MemoryRequest] = []
         # Completed-but-undrained requests.  The ChannelRouter reads this
         # attribute directly (a truthiness check per channel per tick) to
@@ -139,6 +159,10 @@ class MemoryController:
         # hot-path contract, like the bank's ready-cycle attributes.
         self._completed: List[MemoryRequest] = []
         self._draining_writes = False
+        # The next cycle the ChannelRouter must tick this controller: the
+        # router stores each tick's hint here and ``enqueue`` lowers it
+        # (-1 forces a tick in the current cycle).
+        self._wake_cycle = -1
 
         # Back-off protocol state.
         self._rfm_due_cycle: Optional[int] = None
@@ -157,22 +181,15 @@ class MemoryController:
         # * ``enqueue`` folds the new request's bank readiness into the
         #   cached demand hint instead of dropping it (the other banks'
         #   readiness is unchanged, so the min stays exact);
-        # * ``_service_demand_array`` skips the FR-FCFS scan outright when
-        #   the cached hint proves no queued bank has a legal command at
-        #   this cycle.  The skip additionally requires
-        #   ``_demand_ready_now`` to be False: a bank that was already ready
-        #   when the hint was computed is excluded from the strictly-future
-        #   minimum, yet may become servable later without any issue event
-        #   (e.g. the write drain hysteresis flips the active queue on an
-        #   enqueue), so its presence disables the skip until the next
-        #   recompute;
+        # * when ``_post_issue_hint_array`` reaches its demand rescan and no
+        #   bank is ready, it caches the minimum for the idle wakes that
+        #   follow;
         # * ``_next_event_hint_array`` caches the refresh-pending bank scan,
         #   whose inputs only change on refresh accrual, an enqueue that
         #   raises a rank's demand (which can only *remove* scan events --
         #   an early hint is a wasted wake, never a behaviour change) or an
         #   issued command.
         self._fast = False
-        self._demand_ready_now = True
         self._refresh_scan_hint: Optional[int] = None
         # Cached mechanism-pending scan (array kernels only; the object
         # backend recomputes it inline in _next_event_hint).  Its inputs --
@@ -186,8 +203,8 @@ class MemoryController:
 
         # Structure-of-arrays kernels: when the device carries a timing
         # plane (the array bank backend, see dram/timing_plane.py), the
-        # readiness scans are rebound to vectorized variants that fold over
-        # the plane arrays instead of walking bank objects.  The rebinding
+        # readiness scans are rebound to variants that read the plane's
+        # memoryview twins instead of walking bank objects.  The rebinding
         # uses instance attributes exactly like the router's single-channel
         # fast path; the object backend keeps the reference implementations
         # above untouched.
@@ -209,39 +226,79 @@ class MemoryController:
 
         Requests already decoded upstream (the multi-channel
         :class:`~repro.controller.router.ChannelRouter` decodes once to pick
-        the channel) are enqueued as-is.
+        the channel) are enqueued as-is.  The array kernels lower
+        ``_wake_cycle`` to the new request's bank readiness (a bank ready
+        now thus gets its tick in this cycle) and force a tick when the
+        arrival flips the write-drain flag; the object backend always
+        forces the tick.
         """
-        if not self.can_accept(request.request_type):
-            return False
-        if request.dram is None:
-            request.dram = self.mapping.decode(request.address)
-            request.bank_id = request.dram.flat_bank(self.organization)
-        if request.is_read:
+        is_read = request.request_type is _READ
+        if is_read:
+            if self._read_count >= self.read_queue_size:
+                return False
             self._read_count += 1
             buckets = self._read_buckets
         else:
+            if self._write_count >= self.write_queue_size:
+                return False
             self._write_count += 1
             buckets = self._write_buckets
-        bucket = buckets.get(request.bank_id)
+        if request.dram is None:
+            request.dram = self.mapping.decode(request.address)
+            request.bank_id = request.dram.flat_bank(self.organization)
+        bank_id = request.bank_id
+        bucket = buckets.get(bank_id)
         if bucket is None:
-            buckets[request.bank_id] = [request]
+            buckets[bank_id] = [request]
         else:
             bucket.append(request)
-        self._rank_demand[request.bank_id // self._banks_per_rank] += 1
-        if self._fast:
-            # Incremental maintenance: only the enqueued bank gained a new
-            # readiness event, so fold it into the cached minimum.  A value
-            # at or below the current cycle makes the hint stale, which
-            # forces the usual recompute at the next idle wake.
-            hint = self._demand_hint
-            if hint is not None:
-                ready = self._bank_demand_ready_array(
-                    request.bank_id, request.is_read
-                )
-                if ready < hint:
-                    self._demand_hint = ready
-        else:
+        rank = bank_id // self._banks_per_rank
+        self._rank_demand[rank] += 1
+        if not self._fast:
             self._demand_hint = None
+            self._wake_cycle = -1
+            return True
+        # Readiness of the enqueued bank (the per-bank body of
+        # _demand_ready_cycle_array, folded with min over its streams).
+        if self._mv_open_row[bank_id] < 0:
+            ready = self._mv_next_act[bank_id]
+            state = self.device._ranks[rank]
+            rank_ready = state.last_act_cycle + self.timing.tRRD
+            if rank_ready > ready:
+                ready = rank_ready
+            window = state.act_window
+            if len(window) == window.maxlen:
+                rank_ready = window[0] + self.timing.tFAW
+                if rank_ready > ready:
+                    ready = rank_ready
+        else:
+            ready = (
+                self._mv_next_rd[bank_id] if is_read else self._mv_next_wr[bank_id]
+            )
+            pre = self._mv_next_pre[bank_id]
+            if pre < ready:
+                ready = pre
+        # Only the enqueued bank gained a readiness event, so fold it into
+        # the cached minimum.  A value at or below the current cycle makes
+        # the hint stale, which forces a recompute at its next use.
+        hint = self._demand_hint
+        if hint is not None and ready < hint:
+            self._demand_hint = ready
+        # Write-drain hysteresis: the flag is evaluated per tick, so counts
+        # on which it would flip must meet a tick before they change again.
+        writes = self._write_count
+        if self._draining_writes:
+            flips = writes <= self.write_drain_low and (
+                self._read_count or not writes
+            )
+        else:
+            flips = writes >= self.write_drain_high or (
+                writes and not self._read_count
+            )
+        if flips:
+            self._wake_cycle = -1
+        elif ready < self._wake_cycle:
+            self._wake_cycle = ready
         return True
 
     def _dequeue(self, request: MemoryRequest, is_read: bool) -> None:
@@ -283,22 +340,21 @@ class MemoryController:
         """Attempt to issue one DRAM command at ``cycle``.
 
         Returns ``(issued, next_hint)`` where ``next_hint`` is the earliest
-        cycle at which calling ``tick`` again may be useful (only meaningful
-        when ``issued`` is False).
+        future cycle at which calling ``tick`` again may issue a command or
+        change controller state (see the module docstring for the wake
+        contract after an issue).  Read completions are not included: the
+        router retires them.
         """
         # Prologue with the O(1) guards inlined (this runs every busy
-        # cycle): refresh accrual off-boundary, read retirement with nothing
-        # due, and the back-off probe without an on-die mechanism are all
-        # no-ops that must not cost a call each.
+        # cycle): refresh accrual off-boundary and the back-off probe
+        # without an on-die mechanism are no-ops that must not cost a call
+        # each.
         refresh = self.refresh
         if cycle >= refresh._next_accrual:
             refresh.tick(cycle)
             # Accrual changes pending counts / urgency: the cached
             # refresh-pending bank scan is void.
             self._refresh_scan_hint = None
-        reads = self._inflight_reads
-        if reads and reads[0].completion_cycle <= cycle:
-            self._retire_inflight(cycle)
         if self._rfm_due_cycle is None and not self._in_recovery:
             on_die = self._on_die
             if on_die is not None and on_die.backoff_asserted():
@@ -308,7 +364,6 @@ class MemoryController:
                 )
 
         issued = self._service_backoff(cycle)
-        demand_issue = False
         if not issued and not self._backoff_blocks_traffic(cycle):
             # Guards inlined: each service stage is only entered when its
             # work queue is non-empty (this tick runs every busy cycle).
@@ -323,20 +378,15 @@ class MemoryController:
                     and self._service_preventive(cycle)
                 )
             if not issued:
-                issued = demand_issue = self._service_demand(cycle)
+                issued = self._service_demand(cycle)
         if issued:
-            # Any command changes bank/rank readiness: drop the cached
-            # demand hint (and the refresh-scan hint it feeds).  Array-kernel
-            # exception: a *demand* command only moves the served bank's own
-            # readiness (its rank-level side effects push other banks later,
-            # which keeps the cached minimum early-but-never-late), and
-            # _service_demand already folded that bank back in -- so the
-            # cached minimum survives demand bursts instead of forcing a
-            # full bucket rescan at the next idle wake.
-            if not (self._fast and demand_issue):
-                self._demand_hint = None
+            # Any command changes bank/rank readiness: drop the cached scans
+            # (the post-issue hint recomputes the demand minimum).
+            self._demand_hint = None
             self._refresh_scan_hint = None
             self._mech_scan_hint = None
+            if self._fast:
+                return True, self._post_issue_hint_array(cycle)
             return True, cycle + 1
         return False, self._next_event_hint(cycle)
 
@@ -669,7 +719,14 @@ class MemoryController:
             self.stats.writes_served += 1
             self._completed.append(request)
 
-    def _retire_inflight(self, cycle: int) -> None:
+    def retire_reads(self, cycle: int) -> None:
+        """Move the in-flight reads whose data arrived by ``cycle`` to the
+        completed list (the next :meth:`drain_completed` returns them).
+
+        The :class:`~repro.controller.router.ChannelRouter` calls this before
+        each tick; read completions are run-loop events, not controller wake
+        reasons.
+        """
         reads = self._inflight_reads
         # Read completions are issue cycle + a constant (tCL + tBL), so the
         # list is ordered by completion: checking the head suffices.
@@ -773,13 +830,6 @@ class MemoryController:
                 if cycle < ready < best:
                     best = ready
 
-        reads = self._inflight_reads
-        if reads:
-            # Ordered by completion (issue cycle + constant): head is first.
-            completion = reads[0].completion_cycle
-            if cycle < completion < best:
-                best = completion
-
         return best
 
     def _demand_ready_cycle(self, cycle: int) -> int:
@@ -830,19 +880,18 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Structure-of-arrays kernels (array bank backend)
     #
-    # Every method below is the vectorized twin of the object-backend
-    # implementation above: identical decisions, identical issue order,
-    # identical hints -- pinned byte-for-byte by tests/test_bank_backends.py
-    # -- with the per-bank Python loops folded into passes over the device's
-    # BankArrayTiming plane.  The incremental caches (_demand_hint,
-    # _refresh_scan_hint, _mech_scan_hint; see __init__) are maintained
-    # here only: the plane makes recomputes cheap and the fold bookkeeping
-    # makes them rare.
+    # Every method below is the plane-reading twin of the object-backend
+    # implementation above: identical decisions, identical issue order --
+    # pinned byte-for-byte by tests/test_bank_backends.py -- with bank
+    # attributes replaced by reads of the device's BankArrayTiming plane.
+    # The incremental caches (_demand_hint, _refresh_scan_hint,
+    # _mech_scan_hint; see __init__), the exact post-issue hint and the
+    # enqueue-aware wakes live here only; the object backend keeps the
+    # forced cycle + 1 path as the reference.
     # ------------------------------------------------------------------ #
     def _bind_array_kernels(self) -> None:
-        """Rebind the readiness scans to the vectorized variants."""
+        """Rebind the readiness scans to the plane-reading variants."""
         plane = self._plane
-        n = plane.num_banks
         # The plane's memoryview twins, re-hoisted onto the controller: the
         # scalar kernels index these once per register access, and caching
         # them here turns every ``self._plane.next_*_mv`` double attribute
@@ -853,25 +902,9 @@ class MemoryController:
         self._mv_next_pre = plane.next_pre_mv
         self._mv_next_rd = plane.next_rd_mv
         self._mv_next_wr = plane.next_wr_mv
-        # Scratch buffers (one allocation at construction, reused by every
-        # vectorized scan; the plane never reallocates, so views stay valid).
-        self._rank_ready = np.empty(n, dtype=np.int64)
-        self._act_ready = np.empty(n, dtype=np.int64)
-        self._stream_buf = np.empty(n, dtype=np.int64)
-        self._m_read = np.empty(n, dtype=bool)
-        self._m_write = np.empty(n, dtype=bool)
-        self._m_any = np.empty(n, dtype=bool)
-        self._m_closed = np.empty(n, dtype=bool)
-        self._m_open = np.empty(n, dtype=bool)
-        self._stream_mask = np.empty(n, dtype=bool)
-        self._past_mask = np.empty(n, dtype=bool)
-        self._act_ok = np.empty(n, dtype=bool)
-        self._col_ok = np.empty(n, dtype=bool)
-        self._pre_ok = np.empty(n, dtype=bool)
-        self._rank_slices = self.device._rank_slices
         # The incremental hint caches (see __init__).  ``enqueue`` and
-        # ``_dequeue`` need no twins: ``enqueue`` folds through
-        # ``_bank_demand_ready_array`` when the caches are on.
+        # ``_dequeue`` need no twins: ``enqueue`` folds the new bank's
+        # readiness in itself when the caches are on.
         self._fast = True
         self._service_demand = self._service_demand_array
         self._serve_request = self._serve_request_array
@@ -882,98 +915,18 @@ class MemoryController:
         self._next_event_hint = self._next_event_hint_array
         self._demand_ready_cycle = self._demand_ready_cycle_array
 
-    def _fold_stream(
-        self, mask: np.ndarray, values: np.ndarray, cycle: int
-    ) -> Tuple[bool, int]:
-        """Fold one masked event stream into ``(ready_now, future_min)``.
+    def _demand_ready_cycle_array(
+        self, cycle: int, stop_when_ready: bool = False
+    ) -> int:
+        """Array twin of :meth:`_demand_ready_cycle`.
 
-        ``ready_now`` is True when any masked value is at or below ``cycle``
-        (those are excluded from the returned strictly-future minimum),
-        mirroring the per-event handling of the scalar scan.
+        Walks only the queued buckets, reading the plane's memoryview twins
+        in place of bank attributes -- same event streams as the object
+        backend's scan.  Streams already due are excluded from the returned
+        strictly-future minimum, unless ``stop_when_ready`` is set: then the
+        walk returns ``cycle`` at the first due stream (the post-issue hint
+        only needs to know that a bank may issue at the next cycle).
         """
-        buf = self._stream_buf
-        np.copyto(buf, FAR_FUTURE)
-        np.copyto(buf, values, where=mask)
-        lowest = int(buf.min())
-        if lowest > cycle:
-            return False, lowest
-        past = self._past_mask
-        np.less_equal(buf, cycle, out=past)
-        buf[past] = FAR_FUTURE
-        return True, int(buf.min())
-
-    def _demand_ready_cycle_vector(self, cycle: int) -> int:
-        """Whole-plane ``np.minimum``-reduction fold of the demand scan.
-
-        The heavy-queue half of :meth:`_demand_ready_cycle_array`: four
-        masked folds over the full plane replace the per-bucket walk once
-        enough banks hold queued demand.  Identical minimum and
-        ``_demand_ready_now`` semantics as the scalar walk.
-        """
-        plane = self._plane
-        m_read = self._m_read
-        m_write = self._m_write
-        m_any = self._m_any
-        closed = self._m_closed
-        m_read.fill(False)
-        m_read[list(self._read_buckets)] = True
-        m_write.fill(False)
-        m_write[list(self._write_buckets)] = True
-        np.logical_or(m_read, m_write, out=m_any)
-        np.less(plane.open_row, 0, out=closed)
-
-        # Rank-level ACT readiness (tRRD / tFAW), broadcast per bank.
-        rank_ready = self._rank_ready
-        tRRD = self.timing.tRRD
-        tFAW = self.timing.tFAW
-        for rank, state in self.device._ranks.items():
-            ready = state.last_act_cycle + tRRD
-            window = state.act_window
-            if len(window) == window.maxlen:
-                faw_ready = window[0] + tFAW
-                if faw_ready > ready:
-                    ready = faw_ready
-            rank_ready[self._rank_slices[rank]] = ready
-        act_ready = self._act_ready
-        np.maximum(plane.next_act, rank_ready, out=act_ready)
-
-        stream = self._stream_mask
-        m_open = self._m_open
-        np.logical_and(closed, m_any, out=stream)
-        now_act, best = self._fold_stream(stream, act_ready, cycle)
-        np.logical_not(closed, out=m_open)
-        np.logical_and(m_open, m_read, out=stream)
-        now_rd, ready = self._fold_stream(stream, plane.next_rd, cycle)
-        if ready < best:
-            best = ready
-        np.logical_and(m_open, m_write, out=stream)
-        now_wr, ready = self._fold_stream(stream, plane.next_wr, cycle)
-        if ready < best:
-            best = ready
-        np.logical_and(m_open, m_any, out=stream)
-        now_pre, ready = self._fold_stream(stream, plane.next_pre, cycle)
-        if ready < best:
-            best = ready
-        self._demand_ready_now = now_act or now_rd or now_wr or now_pre
-        return best
-
-    def _demand_ready_cycle_array(self, cycle: int) -> int:
-        """Array twin of :meth:`_demand_ready_cycle` (adaptive dispatch).
-
-        The common case walks only the queued buckets, reading the plane's
-        memoryview twins in place of bank attributes -- same event streams
-        as the object backend's scan, plus the ``_demand_ready_now`` flag
-        the scan skip in :meth:`_service_demand_array` relies on.
-        Once enough banks hold queued demand, the walk escalates to the
-        whole-plane vectorized fold (:meth:`_demand_ready_cycle_vector`);
-        below the threshold, ufunc dispatch overhead exceeds the loop it
-        replaces.  Both paths compute identical results.
-        """
-        if (
-            len(self._read_buckets) + len(self._write_buckets)
-            > _VECTOR_SCAN_MIN_BANKS
-        ):
-            return self._demand_ready_cycle_vector(cycle)
         best = FAR_FUTURE
         next_act = self._mv_next_act
         next_pre = self._mv_next_pre
@@ -982,7 +935,6 @@ class MemoryController:
         rank_states = self.device._ranks
         tRRD = self.timing.tRRD
         tFAW = self.timing.tFAW
-        ready_now = False
         for buckets, col in (
             (self._read_buckets, self._mv_next_rd),
             (self._write_buckets, self._mv_next_wr),
@@ -999,89 +951,30 @@ class MemoryController:
                         faw_ready = window[0] + tFAW
                         if faw_ready > ready:
                             ready = faw_ready
-                    if ready <= cycle:
-                        ready_now = True
-                    elif ready < best:
-                        best = ready
-                    continue
-                ready = col[bank_id]
+                    later = FAR_FUTURE
+                else:
+                    # An open bank has two streams: the column command and
+                    # the precharge release.
+                    ready = col[bank_id]
+                    later = next_pre[bank_id]
+                    if later < ready:
+                        ready, later = later, ready
                 if ready <= cycle:
-                    ready_now = True
+                    if stop_when_ready:
+                        return cycle
+                    if cycle < later < best:
+                        best = later
                 elif ready < best:
                     best = ready
-                ready = next_pre[bank_id]
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
-                    best = ready
-        self._demand_ready_now = ready_now
         return best
-
-    def _bank_demand_ready_array(self, bank_id: int, is_read: bool) -> int:
-        """Readiness of one queued bank (the per-bank body of
-        :meth:`_demand_ready_cycle_array`), for incremental hint maintenance."""
-        if self._mv_open_row[bank_id] < 0:
-            ready = self._mv_next_act[bank_id]
-            state = self.device._ranks[bank_id // self._banks_per_rank]
-            rank_ready = state.last_act_cycle + self.timing.tRRD
-            if rank_ready > ready:
-                ready = rank_ready
-            window = state.act_window
-            if len(window) == window.maxlen:
-                faw_ready = window[0] + self.timing.tFAW
-                if faw_ready > ready:
-                    ready = faw_ready
-            return ready
-        col = (
-            self._mv_next_rd[bank_id] if is_read else self._mv_next_wr[bank_id]
-        )
-        pre = self._mv_next_pre[bank_id]
-        return col if col < pre else pre
-
-    def _fold_bank_hint_array(self, bank_id: int) -> None:
-        """Fold one served bank's new readiness into the cached demand hint.
-
-        Called after a demand command issued on ``bank_id``.  The fold is
-        deliberately conservative: for an open bank it takes the minimum
-        over read, write and precharge release without checking which
-        queues the bank actually sits in, and for a closed bank it ignores
-        the rank-level ACT constraints -- a value at or below the bank's
-        true next event keeps the cached minimum early-but-never-late (an
-        early hint is a wasted wake; a late one would change behaviour).
-        """
-        hint = self._demand_hint
-        if hint is None:
-            return
-        if self._mv_open_row[bank_id] < 0:
-            ready = self._mv_next_act[bank_id]
-        else:
-            ready = self._mv_next_rd[bank_id]
-            wr = self._mv_next_wr[bank_id]
-            if wr < ready:
-                ready = wr
-            pre = self._mv_next_pre[bank_id]
-            if pre < ready:
-                ready = pre
-        if ready < hint:
-            self._demand_hint = ready
 
     def _service_demand_array(self, cycle: int) -> bool:
         """Array twin of :meth:`_service_demand`.
 
-        The FR-FCFS pick consults the plane's open-row array directly; the
-        first-ready fallback pre-filters candidates through per-bank ready
-        masks computed in three vectorized comparisons.
+        The FR-FCFS pick and the first-ready fallback read the plane's
+        memoryview twins directly.
         """
         is_read = self._active_queue_is_reads()
-        # The cached demand hint is the exact minimum readiness over every
-        # queued bank of *both* queues, so a strictly-future hint proves no
-        # candidate can issue -- the whole FR-FCFS scan (pure on failure) is
-        # skipped.  The hysteresis above still ran, so the drain flag's
-        # trajectory is unchanged.  Disabled while a blocked-but-ready bank
-        # exists (see __init__).
-        hint = self._demand_hint
-        if hint is not None and cycle < hint and not self._demand_ready_now:
-            return False
         if is_read:
             if not self._read_count:
                 return False
@@ -1093,34 +986,18 @@ class MemoryController:
         if request is not None and self._serve_request_array(
             request, is_read, buckets, cycle
         ):
-            self._fold_bank_hint_array(request.bank_id)
             return True
         # First-ready fallback, same candidate set as the scalar version
         # (bucket head + oldest opposite-classification request per bank).
-        # Busy queues pre-filter through per-bank ready masks computed in
-        # three vectorized comparisons; light queues read the plane slots
-        # directly (the adaptive-dispatch rationale of
-        # _demand_ready_cycle_array applies identically here).
         col_mv = self._mv_next_rd if is_read else self._mv_next_wr
         act_mv = self._mv_next_act
         pre_mv = self._mv_next_pre
-        vectorized = len(buckets) > _VECTOR_SCAN_MIN_BANKS
-        if vectorized:
-            plane = self._plane
-            act_ok = self._act_ok
-            col_ok = self._col_ok
-            pre_ok = self._pre_ok
-            np.less_equal(plane.next_act, cycle, out=act_ok)
-            np.less_equal(
-                plane.next_rd if is_read else plane.next_wr, cycle, out=col_ok
-            )
-            np.less_equal(plane.next_pre, cycle, out=pre_ok)
         candidates: List[MemoryRequest] = []
         for bank_id, bucket in buckets.items():
             open_row = open_rows[bank_id]
             head = bucket[0]
             if open_row < 0:
-                if act_ok[bank_id] if vectorized else cycle >= act_mv[bank_id]:
+                if cycle >= act_mv[bank_id]:
                     candidates.append(head)
                 continue
             head_is_hit = head.dram.row == open_row
@@ -1129,12 +1006,8 @@ class MemoryController:
                 if (r.dram.row == open_row) != head_is_hit:
                     second = r
                     break
-            if vectorized:
-                hit_ready = bool(col_ok[bank_id])
-                pre_ready = bool(pre_ok[bank_id])
-            else:
-                hit_ready = cycle >= col_mv[bank_id]
-                pre_ready = cycle >= pre_mv[bank_id]
+            hit_ready = cycle >= col_mv[bank_id]
+            pre_ready = cycle >= pre_mv[bank_id]
             if head_is_hit:
                 if hit_ready:
                     candidates.append(head)
@@ -1148,7 +1021,6 @@ class MemoryController:
         candidates.sort(key=_BY_REQUEST_ID)
         for request in candidates:
             if self._serve_request_array(request, is_read, buckets, cycle):
-                self._fold_bank_hint_array(request.bank_id)
                 return True
         return False
 
@@ -1409,10 +1281,73 @@ class MemoryController:
             if mech < best:
                 best = mech
 
-        reads = self._inflight_reads
-        if reads:
-            completion = reads[0].completion_cycle
-            if cycle < completion < best:
-                best = completion
+        return best
 
+    def _post_issue_hint_array(self, cycle: int) -> int:
+        """Exact wake hint after a command issued at ``cycle``.
+
+        The idle hint assumes every command that was legal at ``cycle`` was
+        tried and blocked; after an issue that does not hold (the command
+        bus was taken), so the controller must tick at ``cycle + 1``
+        whenever anything could issue or change state then:
+
+        * more than ``_EXACT_HINT_MAX_BUCKETS`` banks hold queued demand (one
+          is almost surely ready; the rescan would not pay for itself);
+        * back-off recovery is in progress, or an asserted back-off has not
+          been probed yet (the probe stamps the RFM deadline with its cycle);
+        * a periodic refresh is actionable: urgent, or owed by an idle rank;
+        * the mitigation mechanism has pending preventive refreshes or RFMs;
+        * the write-drain flag would flip on the current queue counts (the
+          hysteresis is evaluated once per tick, from that tick's counts);
+        * a queued bank is ready now.
+
+        Otherwise nothing can happen before the earliest strictly-future
+        event: the refresh due cycle, the back-off deadline or a queued
+        bank's readiness (the refresh and mechanism scans of the idle hint
+        are empty here).
+        """
+        after = cycle + 1
+        if self._in_recovery or (
+            len(self._read_buckets) + len(self._write_buckets)
+            > _EXACT_HINT_MAX_BUCKETS
+        ):
+            return after
+        rfm_due = self._rfm_due_cycle
+        if rfm_due is None:
+            on_die = self._on_die
+            if on_die is not None and on_die.backoff_asserted():
+                return after
+        refresh = self.refresh
+        pending_ranks = refresh._pending_ranks
+        if pending_ranks is None:
+            pending_ranks = refresh.ranks_needing_refresh()
+        if pending_ranks:
+            urgent_ranks = refresh.urgent_ranks()
+            rank_demand = self._rank_demand
+            for rank in pending_ranks:
+                if rank in urgent_ranks or not rank_demand[rank]:
+                    return after
+        mechanism = self.mechanism
+        if mechanism is not None and (
+            mechanism._pending or mechanism.rfm_pending_banks()
+        ):
+            return after
+        writes = self._write_count
+        if self._draining_writes:
+            if writes <= self.write_drain_low and (self._read_count or not writes):
+                return after
+        elif writes >= self.write_drain_high or (writes and not self._read_count):
+            return after
+        demand = self._demand_ready_cycle_array(cycle, True)
+        if demand <= cycle:
+            return after
+        self._demand_hint = demand
+        # The prologue accrued refresh up to ``cycle``, so the due cycle is
+        # strictly in the future; so is a pending back-off deadline (the
+        # recovery starts in the tick that reaches it).
+        best = refresh._next_accrual
+        if rfm_due is not None and rfm_due < best:
+            best = rfm_due
+        if demand < best:
+            best = demand
         return best

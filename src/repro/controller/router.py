@@ -44,20 +44,19 @@ class ChannelRouter:
                 f"mapping addresses {expected} channels but "
                 f"{len(self.controllers)} controllers were provided"
             )
-        # Per-channel tick gating: a sleeping channel's state can only change
-        # through its own tick or a new enqueue, so between those its wake
-        # hint stays valid and the whole per-channel Python dispatch can be
-        # skipped.  ``_wake[i]`` is the next cycle channel i must be ticked;
-        # ``_dirty[i]`` forces a tick after an enqueue landed on it.
-        self._wake: List[int] = [-1] * len(self.controllers)
-        self._dirty: List[bool] = [True] * len(self.controllers)
+        # Per-channel tick gating: each controller's ``_wake_cycle`` is the
+        # next cycle it must be ticked.  A sleeping channel's state changes
+        # only through its own tick or an enqueue, and ``enqueue`` lowers the
+        # wake itself, so between those the whole per-channel Python
+        # dispatch can be skipped.
         if len(self.controllers) == 1:
             # Single-channel fast path: the per-channel loop collapses to a
             # direct dispatch on the one controller (the seed topology, and
             # the hottest configuration in the benchmark suite).
+            self._controller = self.controllers[0]
             self.tick = self._tick_single  # type: ignore[method-assign]
             self.drain_completed = (  # type: ignore[method-assign]
-                self.controllers[0].drain_completed
+                self._controller.drain_completed
             )
 
     @property
@@ -73,11 +72,7 @@ class ChannelRouter:
         if request.dram is None:
             request.dram = self.mapping.decode(request.address)
             request.bank_id = request.dram.flat_bank(self.mapping.organization)
-        channel = request.dram.channel
-        accepted = self.controllers[channel].enqueue(request)
-        if accepted:
-            self._dirty[channel] = True
-        return accepted
+        return self.controllers[request.dram.channel].enqueue(request)
 
     def drain_completed(self) -> List[MemoryRequest]:
         """Completed requests of every channel since the last call."""
@@ -103,39 +98,50 @@ class ChannelRouter:
     def tick(self, cycle: int, force: bool = False) -> Tuple[bool, int]:
         """Tick every channel that can make progress at ``cycle``.
 
-        Each channel owns an independent command bus, so up to one command
-        per channel issues per cycle.  Channels that are neither dirty (a new
-        request arrived) nor at their own wake cycle are skipped entirely --
-        their previous hint is still valid.  ``force`` disables the gating
-        (the strict-tick reference path must not depend on hint precision).
-        Returns ``(any_issued, next_hint)`` where ``next_hint`` is the
-        earliest wake cycle across channels (only meaningful when nothing
-        issued anywhere).
+        Due read completions are retired first, so the drain that follows
+        returns them.  Each channel owns an independent command bus, so up
+        to one command per channel issues per cycle.  A channel before its
+        wake cycle is
+        skipped entirely -- its previous hint is still valid.  ``force``
+        disables the gating (the strict-tick reference path must not depend
+        on hint precision).  Returns ``(any_issued, next_hint)`` where
+        ``next_hint`` is the earliest channel wake cycle or in-flight read
+        completion: the router owns read completions, so a controller never
+        wakes only to retire one.
         """
         issued_any = False
         hint = FAR_FUTURE
-        wake = self._wake
-        dirty = self._dirty
-        for index, controller in enumerate(self.controllers):
-            if force or dirty[index] or cycle >= wake[index]:
-                issued, channel_hint = controller.tick(cycle)
-                dirty[index] = False
-                wake[index] = channel_hint  # == cycle + 1 when issued
+        for controller in self.controllers:
+            reads = controller._inflight_reads
+            if reads and reads[0].completion_cycle <= cycle:
+                controller.retire_reads(cycle)
+            if force or cycle >= controller._wake_cycle:
+                issued, wake = controller.tick(cycle)
+                controller._wake_cycle = wake
                 if issued:
                     issued_any = True
-                    continue
-            if wake[index] < hint:
-                hint = wake[index]
-        return issued_any, (cycle + 1 if issued_any else hint)
+            else:
+                wake = controller._wake_cycle
+            if wake < hint:
+                hint = wake
+            reads = controller._inflight_reads
+            if reads and reads[0].completion_cycle < hint:
+                hint = reads[0].completion_cycle
+        return issued_any, hint
 
     def _tick_single(self, cycle: int, force: bool = False) -> Tuple[bool, int]:
         """Loop-free :meth:`tick` for the one-channel topology."""
-        wake = self._wake
-        if force or self._dirty[0] or cycle >= wake[0]:
-            issued, hint = self.controllers[0].tick(cycle)
-            self._dirty[0] = False
-            wake[0] = hint
-            if issued:
-                return True, cycle + 1
-            return False, hint
-        return False, wake[0]
+        controller = self._controller
+        reads = controller._inflight_reads
+        if reads and reads[0].completion_cycle <= cycle:
+            controller.retire_reads(cycle)
+        if force or cycle >= controller._wake_cycle:
+            issued, hint = controller.tick(cycle)
+            controller._wake_cycle = hint
+        else:
+            issued = False
+            hint = controller._wake_cycle
+        reads = controller._inflight_reads
+        if reads and reads[0].completion_cycle < hint:
+            hint = reads[0].completion_cycle
+        return issued, hint

@@ -64,7 +64,7 @@ class DramDevice:
         if self.bank_backend == "array":
             timing_plane = BankArrayTiming(organization.total_banks)
         #: The structure-of-arrays timing registers (None = object backend).
-        #: The controller's vectorized kernels key off this attribute.
+        #: The controller's array kernels key off this attribute.
         self.timing_plane = timing_plane
         if timing_plane is not None:
             self.banks: List[Bank] = [

@@ -8,8 +8,10 @@ postponed-REF sweep, the back-off recovery probe, the event-horizon hint --
 to walk 64 bank objects per channel in Python.
 
 :class:`BankArrayTiming` stores the same six registers as flat per-channel
-NumPy ``int64`` arrays indexed by *flat bank id*, so those scans become a
-handful of vectorized array passes.  The array-backend ``Bank`` is a thin
+NumPy ``int64`` arrays indexed by *flat bank id*: the controller scans read
+them as plain ints through memoryview twins, and the device's all-bank REF
+and RFM checks reduce a rank slice in one vectorized pass.  The
+array-backend ``Bank`` is a thin
 view over one slot of a plane (see :mod:`repro.dram.bank`); the plane itself
 is owned by :class:`~repro.dram.device.DramDevice`.
 
@@ -96,9 +98,9 @@ class BankArrayTiming:
         # Scalar-access twins: memoryview indexing reads and writes plain
         # Python ints at roughly half the cost of ndarray scalar indexing
         # and shares the ndarray buffer, so per-slot view accesses and the
-        # whole-plane vector folds always see the same registers.  The
-        # arrays never reallocate, so the views stay valid for the plane's
-        # lifetime.
+        # device's vectorized REF/RFM reductions always see the same
+        # registers.  The arrays never reallocate, so the views stay valid
+        # for the plane's lifetime.
         self.next_act_mv = memoryview(self.next_act)
         self.next_pre_mv = memoryview(self.next_pre)
         self.next_rd_mv = memoryview(self.next_rd)

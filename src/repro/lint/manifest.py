@@ -57,11 +57,8 @@ HOT_PATH_FUNCTIONS = {
         "MemoryController._service_demand",
         # The structure-of-arrays twins (the array bank backend's kernels).
         "MemoryController._next_event_hint_array",
-        "MemoryController._fold_bank_hint_array",
-        "MemoryController._bank_demand_ready_array",
+        "MemoryController._post_issue_hint_array",
         "MemoryController._demand_ready_cycle_array",
-        "MemoryController._demand_ready_cycle_vector",
-        "MemoryController._fold_stream",
         "MemoryController._service_demand_array",
         "MemoryController._serve_request_array",
     }),

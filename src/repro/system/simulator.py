@@ -324,12 +324,20 @@ class SystemSimulator:
     def run(self) -> SimulationResult:
         """Run the simulation until every core retires its target.
 
-        Time is event-driven: when no component issued anything, the loop
-        advances to the exact minimum of every component's next-event hint
-        (controller command readiness, refresh due cycles, back-off
-        deadlines, core retire/issue events).  With ``strict_tick=True`` it
-        instead advances one cycle at a time -- the reference path the
-        determinism tests compare against.
+        Time is event-driven: every iteration advances to the exact minimum
+        of the components' next-event hints, each owned by one component:
+
+        * the controllers own command readiness -- per-bank timing, refresh
+          due cycles, back-off deadlines, mitigation work -- and report it
+          after an issue as well as after an idle tick;
+        * the router owns in-flight read completions: it retires them
+          before ticking and hands the earliest outstanding one to this
+          loop, which delivers the completions to their cores;
+        * the cores own front-end and MSHR events (``_wake_cycle``), plus a
+          retry after any issue while they wait for queue space.
+
+        With ``strict_tick=True`` it instead advances one cycle at a time --
+        the reference path the determinism tests compare against.
         """
         cycle = self.cycle
         cores = self.cores
@@ -388,7 +396,9 @@ class SystemSimulator:
                 # advancing time (otherwise a final same-cycle completion
                 # would look like a deadlock).
                 continue
-            if issued or strict:
+            if strict or hint <= cycle + 1:
+                # The router's hint is strictly in the future, so the next
+                # cycle is the horizon: no core wake can come earlier.
                 cycle += 1
                 continue
             wake = hint
@@ -404,9 +414,16 @@ class SystemSimulator:
                 event = core._wake_cycle
                 if event < wake:
                     wake = event
+            if issued and wake > cycle + 1:
+                # Queue space only frees on issue events, so cores blocked
+                # on a full queue retry in the very next cycle.
+                for core in cores:
+                    if core._retry_on_issue:
+                        wake = cycle + 1
+                        break
             if wake <= cycle:
-                # Defensive only: hints are precise, so an idle tick always
-                # yields a strictly future wake cycle.
+                # Completions delivered on an issue cycle reset their cores'
+                # wake; every other hint is strictly in the future.
                 cycle += 1
             elif wake >= FAR_FUTURE:
                 raise RuntimeError(

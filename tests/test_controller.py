@@ -4,6 +4,7 @@ import pytest
 
 from repro.controller.address_mapping import mop_mapping
 from repro.controller.controller import MemoryController
+from repro.controller.router import ChannelRouter
 from repro.controller.request import MemoryRequest, RequestType
 from repro.core.graphene import Graphene
 from repro.core.mitigation import PreventiveRefresh
@@ -29,12 +30,17 @@ def read_request(address, core=0, cycle=0):
 
 
 def run_until_complete(controller, max_cycles=100_000):
-    """Tick the controller until all queued demand requests complete."""
+    """Tick the controller until all queued demand requests complete.
+
+    The controller is driven through a one-channel router, which retires
+    in-flight reads and wakes for their completions.
+    """
+    router = ChannelRouter(controller.mapping, [controller])
     completed = []
     cycle = 0
     while controller.pending_requests() and cycle < max_cycles:
-        issued, hint = controller.tick(cycle)
-        completed.extend(controller.drain_completed())
+        issued, hint = router.tick(cycle)
+        completed.extend(router.drain_completed())
         cycle = cycle + 1 if issued else max(cycle + 1, min(hint, cycle + 10_000))
     return completed, cycle
 
@@ -163,11 +169,12 @@ class TestBackoffIntegration:
         mapping = controller.mapping
         controller.enqueue(read_request(mapping.encode(DramAddress(0, 0, 0, 0, 10, 0))))
         controller.enqueue(read_request(mapping.encode(DramAddress(0, 0, 0, 0, 11, 0))))
+        router = ChannelRouter(mapping, [controller])
         cycle = 0
         while (controller.pending_requests() or device.backoff_asserted()
                or controller._in_recovery or controller._rfm_due_cycle is not None):
-            issued, hint = controller.tick(cycle)
-            controller.drain_completed()
+            issued, hint = router.tick(cycle)
+            router.drain_completed()
             cycle = cycle + 1 if issued else max(cycle + 1, min(hint, cycle + 1000))
             if cycle > 50_000:
                 pytest.fail("back-off recovery did not finish")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.controller.address_mapping import mop_mapping
 from repro.controller.controller import MemoryController
+from repro.controller.router import ChannelRouter
 from repro.cpu.cache import Cache
 from repro.cpu.core import Core
 from repro.cpu.trace import Trace, TraceEntry
@@ -23,12 +24,15 @@ def make_system():
 
 
 def run_core(core, controller, max_cycles=200_000):
+    # A one-channel router drives the controller: it retires in-flight reads
+    # and wakes for their completions.
+    router = ChannelRouter(controller.mapping, [controller])
     cycle = 0
     while not core.finished and cycle < max_cycles:
         while core.try_issue(cycle, controller):
             pass
-        issued, hint = controller.tick(cycle)
-        completed = controller.drain_completed()
+        issued, hint = router.tick(cycle)
+        completed = router.drain_completed()
         for request in completed:
             if request.is_read:
                 core.notify_completion(request, cycle)
@@ -105,12 +109,13 @@ class TestCoreExecution:
         core = Core(0, Trace("burst", entries), llc, max_outstanding=4)
         cycle = 0
         max_in_flight = 0
+        router = ChannelRouter(controller.mapping, [controller])
         while not core.finished and cycle < 100_000:
             while core.try_issue(cycle, controller):
                 pass
             max_in_flight = max(max_in_flight, core._reads_in_flight)
-            issued, hint = controller.tick(cycle)
-            for request in controller.drain_completed():
+            issued, hint = router.tick(cycle)
+            for request in router.drain_completed():
                 if request.is_read:
                     core.notify_completion(request, cycle)
             cycle = cycle + 1 if issued else max(cycle + 1, min(hint, cycle + 1000))
@@ -179,9 +184,10 @@ class TestCoreExecution:
         assert rejections > 0         # the tiny queue really did overflow
         # Let the controller drain what it accepted (the core is done, so no
         # new traffic arrives; the retry buffer keeps whatever still bounced).
+        router = ChannelRouter(controller.mapping, [controller])
         while controller.pending_requests() and cycle < 500_000:
-            issued, hint = controller.tick(cycle)
-            controller.drain_completed()
+            issued, hint = router.tick(cycle)
+            router.drain_completed()
             cycle = cycle + 1 if issued else max(cycle + 1, min(hint, cycle + 10_000))
         # Conservation: every posted write was served or is awaiting retry --
         # none vanished.

@@ -145,7 +145,7 @@ class TestEntryDocuments:
             "Structure-of-arrays bank timing", "BankArrayTiming",
             "REPRO_BANK_BACKEND", "memoryview", "TimingViolation",
             "tests/test_bank_backends.py", "_mech_scan_hint",
-            "_demand_ready_cycle_vector",
+            "_post_issue_hint_array",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
 
