@@ -84,14 +84,9 @@ BENCH_REPEATS = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "3")))
 #: run: it exercises the demand scan, the back-off path and the hint folds).
 READINESS_PROFILE_WORKLOAD: Tuple[str, int] = ("PRAC-4", 1)
 
-#: Function names of the controller's readiness-scan kernel family, both
-#: backends (matched by bare function name within controller.py).
-READINESS_KERNELS = frozenset(
-    {
-        "_demand_ready_cycle",
-        "_demand_ready_cycle_array",
-    }
-)
+#: Function names of the controller's readiness-scan kernel (matched by
+#: bare function name within controller.py).
+READINESS_KERNELS = frozenset({"_demand_ready_cycle"})
 
 
 def measure_readiness_scan() -> Dict[str, object]:

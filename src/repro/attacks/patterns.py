@@ -28,9 +28,8 @@ and the benchmarks all draw from:
 ``perf_attack``
     the §11 memory performance attack (few rows, few banks, back-to-back).
 
-The historical entry points (``wave_attack_addresses``, ``wave_attack_trace``
-and ``performance_attack_trace``) live here now; ``repro.workloads.attacker``
-re-exports them with a :class:`DeprecationWarning`.
+The module also exports the plain trace builders ``wave_attack_addresses``,
+``wave_attack_trace`` and ``performance_attack_trace``.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def retarget_channel(trace: Trace, mapping: AddressMapping, channel: int) -> Tra
 
 
 # --------------------------------------------------------------------------- #
-# Historical entry points (migrated from repro.workloads.attacker)
+# Plain trace builders
 # --------------------------------------------------------------------------- #
 
 def _wave_rows(

@@ -26,14 +26,17 @@ readiness -- after an idle tick *and* after an issue:
   time skip must never jump past a tREFI boundary), the back-off recovery
   deadline, and the readiness of banks with pending preventive refreshes or
   RFMs;
-* after an issue the array kernels return the same exact hint unless
-  something could issue at ``cycle + 1`` (see
-  :meth:`_post_issue_hint_array`), in which case it is ``cycle + 1``; the
-  object bank backend always returns ``cycle + 1`` and stays the reference;
+* after an issue the hint is the same exact hint unless something could
+  issue at ``cycle + 1`` (see :meth:`_post_issue_hint`), in which case it
+  is ``cycle + 1``;
 * an enqueue lowers ``_wake_cycle`` (the cycle the router next ticks this
   controller) to the new request's bank readiness, or forces a tick in the
   same cycle when the request could issue at once or flips the write-drain
-  flag (the object backend always forces it).
+  flag.
+
+The reference for all of this is the cycle-stepped ``strict_tick`` run
+loop (:class:`~repro.system.simulator.SystemSimulator`), which ticks every
+controller on every cycle and ignores the hints.
 
 In-flight read completions are not controller events: the
 :class:`~repro.controller.router.ChannelRouter` retires them
@@ -44,7 +47,9 @@ harness guards against.
 
 Demand queues are bucketed per bank and maintained incrementally on
 enqueue/dequeue, so neither the FR-FCFS scan, the first-ready fallback, nor
-the wake-hint computation ever rescans a flat queue per candidate.
+the wake-hint computation ever rescans a flat queue per candidate.  Bank
+readiness is read from the device's structure-of-arrays timing plane
+(:mod:`repro.dram.timing_plane`), never from bank objects.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from repro.controller.address_mapping import AddressMapping
 from repro.controller.request import MemoryRequest, RequestType
 from repro.controller.scheduler import FrFcfsCapScheduler
 from repro.core.mitigation import ControllerMitigation
-from repro.dram.bank import BankState
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshScheduler
 
@@ -156,7 +160,7 @@ class MemoryController:
         # Completed-but-undrained requests.  The ChannelRouter reads this
         # attribute directly (a truthiness check per channel per tick) to
         # skip the drain call when empty -- treat the name as part of the
-        # hot-path contract, like the bank's ready-cycle attributes.
+        # hot-path contract.
         self._completed: List[MemoryRequest] = []
         self._draining_writes = False
         # The next cycle the ChannelRouter must tick this controller: the
@@ -168,49 +172,42 @@ class MemoryController:
         self._rfm_due_cycle: Optional[int] = None
         self._in_recovery = False
 
-        # Cached demand-section wake hint.  The per-bank readiness values it
-        # derives from only change on an enqueue or an issued command, so
-        # between those the cached minimum stays exact; a cached value that
-        # fell into the past forces a recompute (see _next_event_hint).
-        self._demand_hint: Optional[int] = None
-
-        # Incremental hint caches, maintained by the array kernels only
-        # (``_bind_array_kernels`` sets ``_fast``; the object backend stays
-        # the simple reference implementation).  With them:
+        # Incremental wake-hint caches (each may be early, never late):
         #
-        # * ``enqueue`` folds the new request's bank readiness into the
-        #   cached demand hint instead of dropping it (the other banks'
-        #   readiness is unchanged, so the min stays exact);
-        # * when ``_post_issue_hint_array`` reaches its demand rescan and no
-        #   bank is ready, it caches the minimum for the idle wakes that
-        #   follow;
-        # * ``_next_event_hint_array`` caches the refresh-pending bank scan,
-        #   whose inputs only change on refresh accrual, an enqueue that
-        #   raises a rank's demand (which can only *remove* scan events --
-        #   an early hint is a wasted wake, never a behaviour change) or an
-        #   issued command.
-        self._fast = False
+        # * ``_demand_hint``, the demand-section minimum.  Its inputs (bucket
+        #   membership, bank/rank readiness) only change on an enqueue or an
+        #   issued command.  ``enqueue`` folds the new request's bank
+        #   readiness into it (the other banks' readiness is unchanged, so
+        #   the min stays exact), an issue drops it, and
+        #   ``_post_issue_hint`` re-caches it when its rescan finds no ready
+        #   bank.  A cached value that fell into the past forces a
+        #   recompute.
+        # * ``_refresh_scan_hint``, the refresh-pending bank scan, whose
+        #   inputs only change on refresh accrual, an enqueue that raises a
+        #   rank's demand (which can only *remove* scan events -- an early
+        #   hint is a wasted wake, never a behaviour change) or an issued
+        #   command.
+        # * ``_mech_scan_hint``, the mechanism-pending scan.  Its inputs --
+        #   the mechanism's pending sets and bank readiness -- change only on
+        #   an issued command; pruning of stale pending entries can only
+        #   *remove* events.
+        self._demand_hint: Optional[int] = None
         self._refresh_scan_hint: Optional[int] = None
-        # Cached mechanism-pending scan (array kernels only; the object
-        # backend recomputes it inline in _next_event_hint).  Its inputs --
-        # the mechanism's pending sets and bank readiness -- change only on
-        # an issued command, which drops the cache alongside the refresh
-        # scan; pruning of stale pending entries can only *remove* events,
-        # which keeps a cached value early-but-never-late.
         self._mech_scan_hint: Optional[int] = None
 
         self.stats = ControllerStats()
 
-        # Structure-of-arrays kernels: when the device carries a timing
-        # plane (the array bank backend, see dram/timing_plane.py), the
-        # readiness scans are rebound to variants that read the plane's
-        # memoryview twins instead of walking bank objects.  The rebinding
-        # uses instance attributes exactly like the router's single-channel
-        # fast path; the object backend keeps the reference implementations
-        # above untouched.
-        self._plane = device.timing_plane
-        if self._plane is not None:
-            self._bind_array_kernels()
+        # The timing plane's memoryview twins, hoisted onto the controller:
+        # the kernels index these once per register access, and caching
+        # them here turns every ``device.timing_plane.next_*_mv`` chain into
+        # a single attribute hop.  Safe because the plane identity is fixed
+        # for the device's lifetime and its buffers never reallocate.
+        plane = device.timing_plane
+        self._mv_open_row = plane.open_row_mv
+        self._mv_next_act = plane.next_act_mv
+        self._mv_next_pre = plane.next_pre_mv
+        self._mv_next_rd = plane.next_rd_mv
+        self._mv_next_wr = plane.next_wr_mv
 
     # ------------------------------------------------------------------ #
     # Interface used by the cores / system simulator
@@ -226,11 +223,9 @@ class MemoryController:
 
         Requests already decoded upstream (the multi-channel
         :class:`~repro.controller.router.ChannelRouter` decodes once to pick
-        the channel) are enqueued as-is.  The array kernels lower
-        ``_wake_cycle`` to the new request's bank readiness (a bank ready
-        now thus gets its tick in this cycle) and force a tick when the
-        arrival flips the write-drain flag; the object backend always
-        forces the tick.
+        the channel) are enqueued as-is.  ``_wake_cycle`` drops to the new
+        request's bank readiness (a bank ready now thus gets its tick in
+        this cycle), or to -1 when the arrival flips the write-drain flag.
         """
         is_read = request.request_type is _READ
         if is_read:
@@ -254,12 +249,8 @@ class MemoryController:
             bucket.append(request)
         rank = bank_id // self._banks_per_rank
         self._rank_demand[rank] += 1
-        if not self._fast:
-            self._demand_hint = None
-            self._wake_cycle = -1
-            return True
         # Readiness of the enqueued bank (the per-bank body of
-        # _demand_ready_cycle_array, folded with min over its streams).
+        # _demand_ready_cycle, folded with min over its streams).
         if self._mv_open_row[bank_id] < 0:
             ready = self._mv_next_act[bank_id]
             state = self.device._ranks[rank]
@@ -385,9 +376,7 @@ class MemoryController:
             self._demand_hint = None
             self._refresh_scan_hint = None
             self._mech_scan_hint = None
-            if self._fast:
-                return True, self._post_issue_hint_array(cycle)
-            return True, cycle + 1
+            return True, self._post_issue_hint(cycle)
         return False, self._next_event_hint(cycle)
 
     def next_event_cycle(self, cycle: int) -> int:
@@ -424,12 +413,13 @@ class MemoryController:
                 return False
             self._in_recovery = True
 
+        open_row = self._mv_open_row
         all_banks = self._all_banks
-        # All banks must be precharged before an all-bank RFM can be issued.
+        # All banks must be precharged before an all-bank RFM can be issued;
+        # stop at the first open bank in id order.
         for bank_id in all_banks:
-            bank = self.device.banks[bank_id]
-            if bank.state is BankState.ACTIVE:
-                if self.device.can_precharge(bank_id, cycle):
+            if open_row[bank_id] >= 0:
+                if cycle >= self._mv_next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 return False
@@ -458,12 +448,14 @@ class MemoryController:
     # Periodic refresh
     # ------------------------------------------------------------------ #
     def _service_refresh(self, cycle: int) -> bool:
+        """Issue (or prepare) a periodic REF for the first actionable rank."""
         pending_ranks = self.refresh.ranks_needing_refresh()
         device = self.device
-        banks = device.banks
+        open_row = self._mv_open_row
+        next_pre = self._mv_next_pre
+        urgent_ranks = self.refresh.urgent_ranks()
         for rank in pending_ranks:
-            urgent = self.refresh.refresh_urgent(rank)
-            bank_ids = device.banks_in_rank(rank)
+            urgent = rank in urgent_ranks
             if not urgent:
                 # Postpone the REF (DDR5 allows up to four postponements)
                 # unless the rank is completely idle, in which case refresh
@@ -477,15 +469,16 @@ class MemoryController:
                     return True
                 continue
             # Urgent: new activations to this rank are blocked (see
-            # _refresh_blocked_ranks); close its open banks, then refresh.
-            open_banks = [
-                b for b in bank_ids if banks[b].state is BankState.ACTIVE
-            ]
-            if open_banks:
-                for bank_id in open_banks:
-                    if device.can_precharge(bank_id, cycle):
+            # _serve_request); close its open banks (first ready one in id
+            # order), then refresh.
+            any_open = False
+            for bank_id in device.banks_in_rank(rank):
+                if open_row[bank_id] >= 0:
+                    any_open = True
+                    if cycle >= next_pre[bank_id]:
                         self._precharge(bank_id, cycle)
                         return True
+            if any_open:
                 continue
             if device.can_refresh(rank, cycle):
                 device.refresh(rank, cycle)
@@ -494,32 +487,25 @@ class MemoryController:
                 return True
         return False
 
-    def _refresh_blocked_ranks(self) -> List[int]:
-        """Ranks whose refresh debt is urgent: no new ACTs may be issued."""
-        return [
-            rank
-            for rank in self.refresh.ranks_needing_refresh()
-            if self.refresh.refresh_urgent(rank)
-        ]
-
     # ------------------------------------------------------------------ #
     # Controller-side mechanism servicing
     # ------------------------------------------------------------------ #
     def _service_prfm(self, cycle: int) -> bool:
+        """Serve the mechanism's per-bank RFM requests (PRFM)."""
         mechanism = self.mechanism
         if mechanism is None:
             return False
         pending = mechanism.rfm_pending_banks()
         if not pending:
             return False
+        open_row = self._mv_open_row
         for bank_id in pending:
-            bank = self.device.banks[bank_id]
-            if bank.state is BankState.ACTIVE:
-                if self.device.can_precharge(bank_id, cycle):
+            if open_row[bank_id] >= 0:
+                if cycle >= self._mv_next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 continue
-            if self.device.can_rfm([bank_id], cycle):
+            if cycle >= self._mv_next_act[bank_id]:
                 refreshed = self.device.rfm([bank_id], cycle)
                 mechanism.acknowledge_rfm(
                     bank_id,
@@ -534,20 +520,21 @@ class MemoryController:
         return False
 
     def _service_preventive(self, cycle: int) -> bool:
+        """Serve the mechanism's queued preventive victim refreshes."""
         mechanism = self.mechanism
         if mechanism is None or not mechanism.has_pending_refreshes():
             return False
+        open_row = self._mv_open_row
         # Direct key iteration over the pruned pending dict (hot-path
         # contract): safe because the dict is only mutated on a served
         # refresh, which returns out of the loop immediately.
         for bank_id in mechanism._pending:
-            bank = self.device.banks[bank_id]
-            if bank.state is BankState.ACTIVE:
-                if self.device.can_precharge(bank_id, cycle):
+            if open_row[bank_id] >= 0:
+                if cycle >= self._mv_next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 continue
-            if self.device.can_victim_refresh(bank_id, cycle):
+            if cycle >= self._mv_next_act[bank_id]:
                 refresh = mechanism.pop_refresh(bank_id, cycle)
                 if refresh is None:
                     continue
@@ -572,6 +559,7 @@ class MemoryController:
         return not (self._draining_writes and self._write_count)
 
     def _service_demand(self, cycle: int) -> bool:
+        """Serve one demand request: the FR-FCFS+Cap pick, else first-ready."""
         is_read = self._active_queue_is_reads()
         if is_read:
             if not self._read_count:
@@ -579,25 +567,29 @@ class MemoryController:
             buckets = self._read_buckets
         else:
             buckets = self._write_buckets
-        request = self.scheduler.choose_from_buckets(buckets, self.device)
-        if request is not None and self._serve_request(request, is_read, buckets, cycle):
+        open_rows = self._mv_open_row
+        request = self.scheduler.choose_from_buckets(buckets, open_rows)
+        if request is not None and self._serve_request(
+            request, is_read, buckets, cycle
+        ):
             return True
         # First-ready fallback: try any request whose next command is legal.
         # Per bank only three requests can differ in outcome -- the bucket
         # head, the oldest row hit and the oldest row conflict (legality of a
         # column command or a precharge does not depend on which queued
         # request triggers it) -- so trying those in global FCFS order is
-        # equivalent to the full-queue rescan this replaces.  Candidates
-        # whose bank timing already rules the command out are dropped here
-        # (pure pre-filter: _serve_request would reject them identically).
-        banks = self.device.banks
+        # equivalent to a full-queue rescan.  Candidates whose bank timing
+        # already rules the command out are dropped here (pure pre-filter:
+        # _serve_request would reject them identically).
+        col_mv = self._mv_next_rd if is_read else self._mv_next_wr
+        act_mv = self._mv_next_act
+        pre_mv = self._mv_next_pre
         candidates: List[MemoryRequest] = []
         for bank_id, bucket in buckets.items():
-            bank = banks[bank_id]
-            open_row = bank.open_row
+            open_row = open_rows[bank_id]
             head = bucket[0]
-            if open_row is None:
-                if cycle >= bank._next_act:
+            if open_row < 0:
+                if cycle >= act_mv[bank_id]:
                     candidates.append(head)
                 continue
             head_is_hit = head.dram.row == open_row
@@ -606,8 +598,8 @@ class MemoryController:
                 if (r.dram.row == open_row) != head_is_hit:
                     second = r
                     break
-            hit_ready = cycle >= (bank._next_rd if is_read else bank._next_wr)
-            pre_ready = cycle >= bank._next_pre
+            hit_ready = cycle >= col_mv[bank_id]
+            pre_ready = cycle >= pre_mv[bank_id]
             if head_is_hit:
                 if hit_ready:
                     candidates.append(head)
@@ -631,31 +623,32 @@ class MemoryController:
         buckets: Dict[int, List[MemoryRequest]],
         cycle: int,
     ) -> bool:
+        """Issue the next command ``request`` needs, if it is legal now."""
         bank_id = request.bank_id
-        bank = self.device.banks[bank_id]
-        open_row = bank.open_row
+        open_row = self._mv_open_row[bank_id]
         target_row = request.dram.row
 
-        if open_row == target_row:
-            hit = request.row_hit if request.row_hit is not None else True
-            if is_read:
-                if cycle >= bank._next_rd:
-                    ready = self.device.read(bank_id, cycle)
-                    self._complete_column(request, is_read, cycle, ready, row_hit=hit)
+        if open_row >= 0:
+            if open_row == target_row:
+                hit = request.row_hit if request.row_hit is not None else True
+                if is_read:
+                    if cycle >= self._mv_next_rd[bank_id]:
+                        ready = self.device.read(bank_id, cycle)
+                        self._complete_column(
+                            request, is_read, cycle, ready, row_hit=hit
+                        )
+                        return True
+                elif cycle >= self._mv_next_wr[bank_id]:
+                    done = self.device.write(bank_id, cycle)
+                    self._complete_column(request, is_read, cycle, done, row_hit=hit)
                     return True
-            elif cycle >= bank._next_wr:
-                done = self.device.write(bank_id, cycle)
-                self._complete_column(request, is_read, cycle, done, row_hit=hit)
-                return True
-            return False
-
-        if open_row is not None:
+                return False
             if self._preserve_open_row(bank_id, open_row, buckets):
                 # A pending request still targets the open row and the
                 # column-over-row reordering cap has not been exhausted, so
                 # the conflicting request must wait (FR-FCFS row-hit-first).
                 return False
-            if cycle >= bank._next_pre:
+            if cycle >= self._mv_next_pre[bank_id]:
                 self._precharge(bank_id, cycle)
                 self.stats.row_conflicts += 1
                 request.row_hit = False
@@ -666,11 +659,14 @@ class MemoryController:
             return False
 
         rank = bank_id // self._banks_per_rank
-        # Inlined refresh_urgent (runs per ACT-candidate serve).
-        if self.refresh._ranks[rank].pending >= RefreshScheduler.MAX_POSTPONED:
+        # Cached urgent set (runs per ACT-candidate serve; almost always
+        # the shared empty tuple, so the probe is one containment check).
+        if rank in self.refresh.urgent_ranks():
             # The rank must drain for an overdue periodic refresh first.
             return False
-        if cycle >= bank._next_act and self.device._rank_act_allowed(rank, cycle):
+        if cycle >= self._mv_next_act[bank_id] and self.device._rank_act_allowed(
+            rank, cycle
+        ):
             self.device.activate(bank_id, target_row, cycle)
             self.stats.row_misses += 1
             request.row_hit = False
@@ -742,7 +738,7 @@ class MemoryController:
         self._inflight_reads = still_waiting
 
     # ------------------------------------------------------------------ #
-    # Idle-time hints (the event horizon)
+    # Wake hints (the event horizon)
     # ------------------------------------------------------------------ #
     def _next_event_hint(self, cycle: int) -> int:
         """Earliest future cycle at which ``tick`` may do useful work.
@@ -750,13 +746,15 @@ class MemoryController:
         Every event source is covered, so the system simulator may advance
         time to exactly this cycle without changing simulated behaviour
         (hints may be conservative -- early -- but never late; the
-        strict-tick determinism harness pins this).  Bank/rank readiness is
-        read via the private ``_next_*`` attributes: this hint runs on every
-        idle tick and the accessor-call overhead dominates otherwise.
+        strict-tick determinism harness pins this).  The bank-readiness
+        scans index the plane's memoryview twins; the demand,
+        refresh-pending and mechanism-pending scans are cached (see
+        ``__init__``).
         """
         best = FAR_FUTURE
-        device = self.device
-        banks = device.banks
+        open_row = self._mv_open_row
+        next_pre = self._mv_next_pre
+        next_act = self._mv_next_act
 
         # Periodic refresh: a skip must never jump past a tREFI boundary,
         # otherwise REFs would silently be postponed beyond the DDR5 limit.
@@ -771,38 +769,48 @@ class MemoryController:
 
         if self._in_recovery:
             # Recovery needs every bank precharged, then an all-bank RFM.
-            for bank in banks:
+            for bank_id in self._all_banks:
                 ready = (
-                    bank._next_pre if bank.state is BankState.ACTIVE else bank._next_act
+                    next_pre[bank_id]
+                    if open_row[bank_id] >= 0
+                    else next_act[bank_id]
                 )
                 if cycle < ready < best:
                     best = ready
         else:
-            rank_demand = self._rank_demand
-            for rank in self.refresh.ranks_needing_refresh():
-                # A postponed REF is only actionable when urgent or when the
-                # rank is idle; otherwise the next refresh event is the
-                # accrual boundary already covered above.
-                if not self.refresh.refresh_urgent(rank) and rank_demand[rank]:
-                    continue
-                for bank_id in device.banks_in_rank(rank):
-                    bank = banks[bank_id]
-                    ready = (
-                        bank._next_pre
-                        if bank.state is BankState.ACTIVE
-                        else bank._next_act
-                    )
-                    if cycle < ready < best:
-                        best = ready
+            scan = self._refresh_scan_hint
+            if scan is not None and scan > cycle:
+                if scan < best:
+                    best = scan
+            else:
+                scan = FAR_FUTURE
+                pending_ranks = self.refresh.ranks_needing_refresh()
+                if pending_ranks:
+                    rank_demand = self._rank_demand
+                    urgent_ranks = self.refresh.urgent_ranks()
+                    device = self.device
+                    for rank in pending_ranks:
+                        # A postponed REF is only actionable when urgent or
+                        # when the rank is idle; otherwise the next refresh
+                        # event is the accrual boundary already covered.
+                        if rank not in urgent_ranks and rank_demand[rank]:
+                            continue
+                        for bank_id in device.banks_in_rank(rank):
+                            ready = (
+                                next_pre[bank_id]
+                                if open_row[bank_id] >= 0
+                                else next_act[bank_id]
+                            )
+                            if cycle < ready < scan:
+                                scan = ready
+                self._refresh_scan_hint = scan
+                if scan < best:
+                    best = scan
 
         # Demand requests, bucketed per bank.  Both queues contribute: the
-        # write queue may become the active queue as soon as it drains.
-        # The section is cached: its inputs (bucket membership, bank/rank
-        # readiness) only change on an enqueue or an issued command, both of
-        # which drop the cache, so consecutive idle wakes (refresh
-        # boundaries, core events, early hints) reuse the minimum instead of
-        # rescanning every bucket.  A cached value at or below the current
-        # cycle is stale by definition and forces a recompute.
+        # write queue may become the active queue as soon as it drains.  A
+        # cached value at or below the current cycle is stale by definition
+        # and forces a recompute.
         demand = self._demand_hint
         if demand is None or demand <= cycle:
             demand = self._demand_ready_cycle(cycle)
@@ -812,120 +820,44 @@ class MemoryController:
 
         mechanism = self.mechanism
         if mechanism is not None:
-            if mechanism._pending:
+            mech = self._mech_scan_hint
+            if mech is None or mech <= cycle:
+                mech = FAR_FUTURE
                 for bank_id in mechanism._pending:
-                    bank = banks[bank_id]
                     ready = (
-                        bank._next_pre
-                        if bank.state is BankState.ACTIVE
-                        else bank._next_act
+                        next_pre[bank_id]
+                        if open_row[bank_id] >= 0
+                        else next_act[bank_id]
                     )
-                    if cycle < ready < best:
-                        best = ready
-            for bank_id in mechanism.rfm_pending_banks():
-                bank = banks[bank_id]
-                ready = (
-                    bank._next_pre if bank.state is BankState.ACTIVE else bank._next_act
-                )
-                if cycle < ready < best:
-                    best = ready
+                    if cycle < ready < mech:
+                        mech = ready
+                for bank_id in mechanism.rfm_pending_banks():
+                    ready = (
+                        next_pre[bank_id]
+                        if open_row[bank_id] >= 0
+                        else next_act[bank_id]
+                    )
+                    if cycle < ready < mech:
+                        mech = ready
+                self._mech_scan_hint = mech
+            if mech < best:
+                best = mech
 
         return best
 
-    def _demand_ready_cycle(self, cycle: int) -> int:
-        """Earliest strictly-future readiness event of any queued demand.
-
-        Rank-level ACT readiness (tRRD / tFAW) is inlined: this scan runs on
-        idle wakes and the accessor-call overhead dominates otherwise.  For
-        open banks both the column-command and the precharge release are
-        included without scanning the bucket for actual hits/conflicts --
-        hints may be early (a wasted wake is a no-op tick), never late, and
-        the per-request row scan this replaces dominated the idle-wake cost.
-        """
-        best = FAR_FUTURE
-        device = self.device
-        banks = device.banks
-        banks_per_rank = self._banks_per_rank
-        rank_states = device._ranks
-        tRRD = self.timing.tRRD
-        tFAW = self.timing.tFAW
-        for buckets, is_read in (
-            (self._read_buckets, True),
-            (self._write_buckets, False),
-        ):
-            for bank_id in buckets:
-                bank = banks[bank_id]
-                if bank.open_row is None:
-                    ready = bank._next_act
-                    state = rank_states[bank_id // banks_per_rank]
-                    rank_ready = state.last_act_cycle + tRRD
-                    if rank_ready > ready:
-                        ready = rank_ready
-                    window = state.act_window
-                    if len(window) == window.maxlen:
-                        faw_ready = window[0] + tFAW
-                        if faw_ready > ready:
-                            ready = faw_ready
-                    if cycle < ready < best:
-                        best = ready
-                    continue
-                ready = bank._next_rd if is_read else bank._next_wr
-                if cycle < ready < best:
-                    best = ready
-                ready = bank._next_pre
-                if cycle < ready < best:
-                    best = ready
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Structure-of-arrays kernels (array bank backend)
-    #
-    # Every method below is the plane-reading twin of the object-backend
-    # implementation above: identical decisions, identical issue order --
-    # pinned byte-for-byte by tests/test_bank_backends.py -- with bank
-    # attributes replaced by reads of the device's BankArrayTiming plane.
-    # The incremental caches (_demand_hint, _refresh_scan_hint,
-    # _mech_scan_hint; see __init__), the exact post-issue hint and the
-    # enqueue-aware wakes live here only; the object backend keeps the
-    # forced cycle + 1 path as the reference.
-    # ------------------------------------------------------------------ #
-    def _bind_array_kernels(self) -> None:
-        """Rebind the readiness scans to the plane-reading variants."""
-        plane = self._plane
-        # The plane's memoryview twins, re-hoisted onto the controller: the
-        # scalar kernels index these once per register access, and caching
-        # them here turns every ``self._plane.next_*_mv`` double attribute
-        # hop into a single one.  Safe because the plane identity is fixed
-        # for the device's lifetime and its arrays never reallocate.
-        self._mv_open_row = plane.open_row_mv
-        self._mv_next_act = plane.next_act_mv
-        self._mv_next_pre = plane.next_pre_mv
-        self._mv_next_rd = plane.next_rd_mv
-        self._mv_next_wr = plane.next_wr_mv
-        # The incremental hint caches (see __init__).  ``enqueue`` and
-        # ``_dequeue`` need no twins: ``enqueue`` folds the new bank's
-        # readiness in itself when the caches are on.
-        self._fast = True
-        self._service_demand = self._service_demand_array
-        self._serve_request = self._serve_request_array
-        self._service_refresh = self._service_refresh_array
-        self._service_backoff = self._service_backoff_array
-        self._service_prfm = self._service_prfm_array
-        self._service_preventive = self._service_preventive_array
-        self._next_event_hint = self._next_event_hint_array
-        self._demand_ready_cycle = self._demand_ready_cycle_array
-
-    def _demand_ready_cycle_array(
+    def _demand_ready_cycle(
         self, cycle: int, stop_when_ready: bool = False
     ) -> int:
-        """Array twin of :meth:`_demand_ready_cycle`.
+        """Earliest strictly-future readiness event of any queued demand.
 
-        Walks only the queued buckets, reading the plane's memoryview twins
-        in place of bank attributes -- same event streams as the object
-        backend's scan.  Streams already due are excluded from the returned
-        strictly-future minimum, unless ``stop_when_ready`` is set: then the
-        walk returns ``cycle`` at the first due stream (the post-issue hint
-        only needs to know that a bank may issue at the next cycle).
+        Walks only the queued buckets.  Rank-level ACT readiness (tRRD /
+        tFAW) is inlined.  For open banks both the column-command and the
+        precharge release are included without scanning the bucket for
+        actual hits/conflicts: hints may be early (a wasted wake is a no-op
+        tick), never late.  Streams already due are excluded from the
+        returned minimum, unless ``stop_when_ready`` is set: then the walk
+        returns ``cycle`` at the first due stream (the post-issue hint only
+        needs to know that a bank may issue at the next cycle).
         """
         best = FAR_FUTURE
         next_act = self._mv_next_act
@@ -968,322 +900,7 @@ class MemoryController:
                     best = ready
         return best
 
-    def _service_demand_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_demand`.
-
-        The FR-FCFS pick and the first-ready fallback read the plane's
-        memoryview twins directly.
-        """
-        is_read = self._active_queue_is_reads()
-        if is_read:
-            if not self._read_count:
-                return False
-            buckets = self._read_buckets
-        else:
-            buckets = self._write_buckets
-        open_rows = self._mv_open_row
-        request = self.scheduler.choose_from_buckets_array(buckets, open_rows)
-        if request is not None and self._serve_request_array(
-            request, is_read, buckets, cycle
-        ):
-            return True
-        # First-ready fallback, same candidate set as the scalar version
-        # (bucket head + oldest opposite-classification request per bank).
-        col_mv = self._mv_next_rd if is_read else self._mv_next_wr
-        act_mv = self._mv_next_act
-        pre_mv = self._mv_next_pre
-        candidates: List[MemoryRequest] = []
-        for bank_id, bucket in buckets.items():
-            open_row = open_rows[bank_id]
-            head = bucket[0]
-            if open_row < 0:
-                if cycle >= act_mv[bank_id]:
-                    candidates.append(head)
-                continue
-            head_is_hit = head.dram.row == open_row
-            second: Optional[MemoryRequest] = None
-            for r in bucket:
-                if (r.dram.row == open_row) != head_is_hit:
-                    second = r
-                    break
-            hit_ready = cycle >= col_mv[bank_id]
-            pre_ready = cycle >= pre_mv[bank_id]
-            if head_is_hit:
-                if hit_ready:
-                    candidates.append(head)
-                if second is not None and pre_ready:
-                    candidates.append(second)
-            else:
-                if pre_ready:
-                    candidates.append(head)
-                if second is not None and hit_ready:
-                    candidates.append(second)
-        candidates.sort(key=_BY_REQUEST_ID)
-        for request in candidates:
-            if self._serve_request_array(request, is_read, buckets, cycle):
-                return True
-        return False
-
-    def _serve_request_array(
-        self,
-        request: MemoryRequest,
-        is_read: bool,
-        buckets: Dict[int, List[MemoryRequest]],
-        cycle: int,
-    ) -> bool:
-        """Array twin of :meth:`_serve_request`."""
-        bank_id = request.bank_id
-        open_row = self._mv_open_row[bank_id]
-        target_row = request.dram.row
-
-        if open_row >= 0:
-            if open_row == target_row:
-                hit = request.row_hit if request.row_hit is not None else True
-                if is_read:
-                    if cycle >= self._mv_next_rd[bank_id]:
-                        ready = self.device.read(bank_id, cycle)
-                        self._complete_column(
-                            request, is_read, cycle, ready, row_hit=hit
-                        )
-                        return True
-                elif cycle >= self._mv_next_wr[bank_id]:
-                    done = self.device.write(bank_id, cycle)
-                    self._complete_column(request, is_read, cycle, done, row_hit=hit)
-                    return True
-                return False
-            if self._preserve_open_row(bank_id, open_row, buckets):
-                return False
-            if cycle >= self._mv_next_pre[bank_id]:
-                self._precharge(bank_id, cycle)
-                self.stats.row_conflicts += 1
-                request.row_hit = False
-                self.scheduler.on_scheduled(request, was_row_hit=False)
-                return True
-            return False
-
-        rank = bank_id // self._banks_per_rank
-        # Cached urgent set (runs per ACT-candidate serve; almost always
-        # the shared empty tuple, so the probe is one containment check).
-        if rank in self.refresh.urgent_ranks():
-            return False
-        if cycle >= self._mv_next_act[bank_id] and self.device._rank_act_allowed(
-            rank, cycle
-        ):
-            self.device.activate(bank_id, target_row, cycle)
-            self.stats.row_misses += 1
-            request.row_hit = False
-            if self.mechanism is not None:
-                self.mechanism.on_activate(bank_id, target_row, cycle)
-            return True
-        return False
-
-    def _service_refresh_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_refresh` (plane reads, vector REF)."""
-        pending_ranks = self.refresh.ranks_needing_refresh()
-        device = self.device
-        open_row = self._mv_open_row
-        next_pre = self._mv_next_pre
-        urgent_ranks = self.refresh.urgent_ranks()
-        for rank in pending_ranks:
-            urgent = rank in urgent_ranks
-            if not urgent:
-                if self._rank_demand[rank]:
-                    continue
-                if device.can_refresh(rank, cycle):
-                    device.refresh(rank, cycle)
-                    self.refresh.refresh_issued(rank)
-                    self.stats.refreshes += 1
-                    return True
-                continue
-            # Urgent: close the rank's open banks (first ready one), then
-            # refresh.  Same visit order as the scalar scan.
-            any_open = False
-            for bank_id in device.banks_in_rank(rank):
-                if open_row[bank_id] >= 0:
-                    any_open = True
-                    if cycle >= next_pre[bank_id]:
-                        self._precharge(bank_id, cycle)
-                        return True
-            if any_open:
-                continue
-            if device.can_refresh(rank, cycle):
-                device.refresh(rank, cycle)
-                self.refresh.refresh_issued(rank)
-                self.stats.refreshes += 1
-                return True
-        return False
-
-    def _service_backoff_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_backoff`."""
-        if not self._in_recovery:
-            if self._rfm_due_cycle is None or cycle < self._rfm_due_cycle:
-                return False
-            self._in_recovery = True
-
-        open_row = self._mv_open_row
-        all_banks = self._all_banks
-        # All banks must be precharged before an all-bank RFM can be issued;
-        # stop at the first open bank in id order, like the object scan.
-        for bank_id in all_banks:
-            if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
-                    self._precharge(bank_id, cycle)
-                    return True
-                return False
-        if not self.device.can_rfm(all_banks, cycle):
-            return False
-        refreshed = self.device.rfm(all_banks, cycle)
-        self.stats.rfms += 1
-        self.stats.preventive_refresh_rows += refreshed
-        if not self.device.wants_more_rfm():
-            self._in_recovery = False
-            self._rfm_due_cycle = None
-        return True
-
-    def _service_prfm_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_prfm`."""
-        mechanism = self.mechanism
-        if mechanism is None:
-            return False
-        pending = mechanism.rfm_pending_banks()
-        if not pending:
-            return False
-        open_row = self._mv_open_row
-        for bank_id in pending:
-            if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
-                    self._precharge(bank_id, cycle)
-                    return True
-                continue
-            if cycle >= self._mv_next_act[bank_id]:
-                refreshed = self.device.rfm([bank_id], cycle)
-                mechanism.acknowledge_rfm(
-                    bank_id,
-                    cycle,
-                    on_die_refreshed=(
-                        refreshed if self.device.mitigation is not None else None
-                    ),
-                )
-                self.stats.rfms += 1
-                self.stats.preventive_refresh_rows += mechanism.victim_rows_per_aggressor
-                return True
-        return False
-
-    def _service_preventive_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_preventive`."""
-        mechanism = self.mechanism
-        if mechanism is None or not mechanism.has_pending_refreshes():
-            return False
-        open_row = self._mv_open_row
-        for bank_id in mechanism._pending:
-            if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
-                    self._precharge(bank_id, cycle)
-                    return True
-                continue
-            if cycle >= self._mv_next_act[bank_id]:
-                refresh = mechanism.pop_refresh(bank_id, cycle)
-                if refresh is None:
-                    continue
-                self.device.victim_refresh(bank_id, refresh.num_rows, cycle)
-                self.stats.preventive_refresh_rows += refresh.num_rows
-                return True
-        return False
-
-    def _next_event_hint_array(self, cycle: int) -> int:
-        """Array twin of :meth:`_next_event_hint`.
-
-        The bank-readiness scans index the plane's memoryview twins (plain
-        Python ints, no ndarray scalar boxing); the refresh-pending and
-        mechanism-pending scans are cached (see ``__init__``).
-        Every section preserves the early-never-late contract of the scalar
-        hint.
-        """
-        best = FAR_FUTURE
-        open_row = self._mv_open_row
-        next_pre = self._mv_next_pre
-        next_act = self._mv_next_act
-
-        due = self.refresh.next_due_cycle()
-        if cycle < due < best:
-            best = due
-
-        rfm_due = self._rfm_due_cycle
-        if rfm_due is not None and not self._in_recovery and cycle < rfm_due < best:
-            best = rfm_due
-
-        if self._in_recovery:
-            # Recovery needs every bank precharged, then an all-bank RFM.
-            for bank_id in self._all_banks:
-                ready = (
-                    next_pre[bank_id]
-                    if open_row[bank_id] >= 0
-                    else next_act[bank_id]
-                )
-                if cycle < ready < best:
-                    best = ready
-        else:
-            scan = self._refresh_scan_hint
-            if scan is not None and scan > cycle:
-                if scan < best:
-                    best = scan
-            else:
-                scan = FAR_FUTURE
-                pending_ranks = self.refresh.ranks_needing_refresh()
-                if pending_ranks:
-                    rank_demand = self._rank_demand
-                    urgent_ranks = self.refresh.urgent_ranks()
-                    device = self.device
-                    for rank in pending_ranks:
-                        if rank not in urgent_ranks and rank_demand[rank]:
-                            continue
-                        for bank_id in device.banks_in_rank(rank):
-                            ready = (
-                                next_pre[bank_id]
-                                if open_row[bank_id] >= 0
-                                else next_act[bank_id]
-                            )
-                            if cycle < ready < scan:
-                                scan = ready
-                self._refresh_scan_hint = scan
-                if scan < best:
-                    best = scan
-
-        demand = self._demand_hint
-        if demand is None or demand <= cycle:
-            demand = self._demand_ready_cycle_array(cycle)
-            self._demand_hint = demand
-        if cycle < demand < best:
-            best = demand
-
-        mechanism = self.mechanism
-        if mechanism is not None:
-            mech = self._mech_scan_hint
-            if mech is None or mech <= cycle:
-                mech = FAR_FUTURE
-                for bank_id in mechanism._pending:
-                    ready = (
-                        next_pre[bank_id]
-                        if open_row[bank_id] >= 0
-                        else next_act[bank_id]
-                    )
-                    if cycle < ready < mech:
-                        mech = ready
-                for bank_id in mechanism.rfm_pending_banks():
-                    ready = (
-                        next_pre[bank_id]
-                        if open_row[bank_id] >= 0
-                        else next_act[bank_id]
-                    )
-                    if cycle < ready < mech:
-                        mech = ready
-                self._mech_scan_hint = mech
-            if mech < best:
-                best = mech
-
-        return best
-
-    def _post_issue_hint_array(self, cycle: int) -> int:
+    def _post_issue_hint(self, cycle: int) -> int:
         """Exact wake hint after a command issued at ``cycle``.
 
         The idle hint assumes every command that was legal at ``cycle`` was
@@ -1338,7 +955,7 @@ class MemoryController:
                 return after
         elif writes >= self.write_drain_high or (writes and not self._read_count):
             return after
-        demand = self._demand_ready_cycle_array(cycle, True)
+        demand = self._demand_ready_cycle(cycle, True)
         if demand <= cycle:
             return after
         self._demand_hint = demand

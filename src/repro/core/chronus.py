@@ -36,7 +36,6 @@ from repro.core.counters import (
     AggressorTrackingTable,
     CounterSubarray,
     PerRowCounters,
-    resolve_backend,
 )
 from repro.core.mitigation import DEFAULT_BLAST_RADIUS, OnDieMitigation
 from repro.core.prac import PRAC, counter_width_bits
@@ -68,7 +67,6 @@ class Chronus(OnDieMitigation):
         borrowed_refresh: bool = True,
         counter_subarray: Optional[CounterSubarray] = None,
         security_params: SecurityParameters = DEFAULT_PARAMETERS,
-        backend: Optional[str] = None,
     ) -> None:
         """Create a Chronus instance.
 
@@ -87,8 +85,6 @@ class Chronus(OnDieMitigation):
                 accounting); defaults to the paper's reference configuration.
             security_params: physical parameters used for the default
                 configuration.
-            backend: counter-store backend ("dict" / "array"; None resolves
-                to the module default, array).
         """
         super().__init__(nrh, blast_radius)
         if num_banks <= 0:
@@ -105,11 +101,9 @@ class Chronus(OnDieMitigation):
         self.counter_subarray = counter_subarray or CounterSubarray()
         self.borrowed_refresh = borrowed_refresh
 
-        self.backend = resolve_backend(backend)
-        self.counters = PerRowCounters(num_banks, backend=self.backend)
+        self.counters = PerRowCounters(num_banks)
         self.att: List[AggressorTrackingTable] = [
-            AggressorTrackingTable(att_entries, backend=self.backend)
-            for _ in range(num_banks)
+            AggressorTrackingTable(att_entries) for _ in range(num_banks)
         ]
         #: Rows whose activation count reached the back-off threshold and
         #: whose victims have not been refreshed yet, per bank.

@@ -86,7 +86,6 @@ def build_mechanism(
     seed: int = 0,
     security_params: SecurityParameters = DEFAULT_PARAMETERS,
     allow_insecure: bool = True,
-    backend: Optional[str] = None,
 ) -> MechanismSetup:
     """Build the mechanism configuration named ``name`` for threshold ``nrh``.
 
@@ -100,10 +99,6 @@ def build_mechanism(
             securely at ``nrh`` fall back to their most aggressive
             configuration and are flagged insecure (mirroring the paper's
             red-edged bars); if False, a ``ValueError`` propagates.
-        backend: counter-store backend forwarded to mechanisms with
-            array-capable stores ("dict" / "array"; None resolves to the
-            module default, array).  Both backends are observably identical,
-            so the choice never enters a cache key.
 
     Returns:
         A :class:`MechanismSetup`.
@@ -123,37 +118,36 @@ def build_mechanism(
     if name in ("PRAC-1", "PRAC-2", "PRAC-4"):
         nref = int(name.split("-")[1])
         prac = PRAC(nrh, num_banks, nref=nref, security_params=security_params,
-                    allow_insecure=allow_insecure, backend=backend)
+                    allow_insecure=allow_insecure)
         return MechanismSetup(name, prac, None, use_prac_timings=True,
                               is_secure=prac.is_secure)
 
     if name == "PRAC+PRFM":
         prac = PRAC(nrh, num_banks, nref=4, security_params=security_params,
-                    allow_insecure=allow_insecure, backend=backend)
+                    allow_insecure=allow_insecure)
         prfm = PRFM(nrh, num_banks, rfm_threshold=PRAC_PRFM_RFM_THRESHOLD,
                     security_params=security_params)
         return MechanismSetup(name, prac, prfm, use_prac_timings=True,
                               is_secure=prac.is_secure)
 
     if name == "Chronus":
-        chronus = Chronus(nrh, num_banks, security_params=security_params,
-                          backend=backend)
+        chronus = Chronus(nrh, num_banks, security_params=security_params)
         return MechanismSetup(name, chronus, None, use_prac_timings=False,
                               is_secure=True)
 
     if name == "Chronus-PB":
         chronus_pb = ChronusPB(nrh, num_banks, security_params=security_params,
-                               allow_insecure=allow_insecure, backend=backend)
+                               allow_insecure=allow_insecure)
         return MechanismSetup(name, chronus_pb, None, use_prac_timings=False,
                               is_secure=chronus_pb.is_secure)
 
     if name == "Graphene":
-        graphene = Graphene(nrh, num_banks, backend=backend)
+        graphene = Graphene(nrh, num_banks)
         return MechanismSetup(name, None, graphene, use_prac_timings=False,
                               is_secure=True)
 
     if name == "Hydra":
-        hydra = Hydra(nrh, num_banks, backend=backend)
+        hydra = Hydra(nrh, num_banks)
         return MechanismSetup(name, None, hydra, use_prac_timings=False,
                               is_secure=True)
 
@@ -163,7 +157,7 @@ def build_mechanism(
                               is_secure=True)
 
     if name == "ABACuS":
-        abacus = ABACuS(nrh, num_banks, backend=backend)
+        abacus = ABACuS(nrh, num_banks)
         return MechanismSetup(name, None, abacus, use_prac_timings=False,
                               is_secure=True)
 

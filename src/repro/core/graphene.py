@@ -13,23 +13,17 @@ with ``N_RH`` and it is implemented with content-addressable memory in the
 memory controller, which is why its storage cost explodes at low thresholds
 (50.3x growth from ``N_RH`` = 1K to 20 in Fig. 11).
 
-Table backends: :class:`MisraGriesTable` (the ``"dict"`` reference layout,
-also what direct ``MisraGriesTable(...)`` construction returns) and
-:class:`ArrayMisraGriesTable` (``"array"``: index-slot storage -- parallel
-row/count/trigger lists with a row-to-slot index, a freelist and per-slot
-insertion stamps so evictions break count ties exactly like dict insertion
-order).  :class:`Graphene` selects per the ``backend`` argument
-(:func:`repro.core.counters.resolve_backend`; array by default) and drives
-both through the shared ``observe_triggered`` hot-path API.
+Each bank's :class:`MisraGriesTable` is a dict of entries keyed by row, so
+only the rows a run actually tracks cost memory, and evictions break count
+ties by dict insertion order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.counters import resolve_backend
 from repro.core.mitigation import (
     DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
@@ -48,13 +42,7 @@ class GrapheneEntry:
 
 
 class MisraGriesTable:
-    """A Misra-Gries summary with a spillover counter (one per bank).
-
-    This is the ``"dict"`` reference backend; its update rule and iteration
-    order define the behaviour the array backend must reproduce.
-    """
-
-    backend = "dict"
+    """A Misra-Gries summary with a spillover counter (one per bank)."""
 
     def __init__(self, num_entries: int) -> None:
         if num_entries <= 0:
@@ -100,8 +88,7 @@ class MisraGriesTable:
         """Observe ``row``; report (count, whether a refresh must trigger).
 
         A trigger fires when the entry's count advanced ``trigger_threshold``
-        past its last trigger point, which is then reset -- the shared
-        hot-path API both backends implement.
+        past its last trigger point, which is then reset.
         """
         entry = self.observe(row)
         if entry.count - entry.last_trigger >= trigger_threshold:
@@ -118,131 +105,6 @@ class MisraGriesTable:
     def reset(self) -> None:
         self.entries.clear()
         self.spillover = 0
-
-
-class ArrayMisraGriesTable:
-    """Index-slot Misra-Gries backend (``"array"``).
-
-    Parallel ``rows`` / ``counts`` / ``last_trigger`` / ``seq`` lists plus a
-    row-to-slot index.  Slots are allocated by *appending* -- the table is
-    provisioned for ``window / threshold`` entries but benign workloads
-    rarely fill it, so storage tracks the occupied prefix instead of
-    pre-allocating (and re-allocating on every reset) the full capacity.
-    Misra-Gries never frees an individual entry: eviction replaces a slot
-    in place once the table is full, so every allocated slot is always
-    live.  ``seq`` stamps each insertion with a monotonically increasing
-    sequence number: the eviction scan picks the minimum count and breaks
-    ties by the smallest stamp, which is exactly the first-inserted entry
-    that ``min()`` over dict iteration order returns in the reference
-    backend.
-    """
-
-    backend = "array"
-
-    def __init__(self, num_entries: int) -> None:
-        if num_entries <= 0:
-            raise ValueError("num_entries must be positive")
-        self.num_entries = num_entries
-        self.spillover = 0
-        self._rows: List[int] = []
-        self._counts: List[int] = []
-        self._last_trigger: List[int] = []
-        self._seq: List[int] = []
-        self._slot_of: Dict[int, int] = {}
-        self._next_seq = 0
-
-    def observe_triggered(self, row: int, trigger_threshold: int) -> Tuple[int, bool]:
-        """Array-backed equivalent of :meth:`MisraGriesTable.observe_triggered`."""
-        slot = self._slot_of.get(row)
-        counts = self._counts
-        if slot is None:
-            if len(counts) < self.num_entries:
-                slot = len(counts)
-                self._append(row, self.spillover + 1, self.spillover)
-            else:
-                self.spillover += 1
-                spill = self.spillover
-                lowest = min(counts)
-                if spill < lowest:
-                    # Absorbed by the spillover counter: the ephemeral
-                    # estimate equals the spillover, so the trigger delta is
-                    # zero and no refresh can fire.
-                    return spill, False
-                slot = self._evict_slot(lowest)
-                del self._slot_of[self._rows[slot]]
-                # Swap: the evicted count becomes the spillover; the new row
-                # inherits the old spillover (+1 for this activation).
-                self.spillover, inherited = lowest, spill
-                self._install(slot, row, inherited + 1, inherited)
-            count = counts[slot]
-        else:
-            count = counts[slot] + 1
-            counts[slot] = count
-        if count - self._last_trigger[slot] >= trigger_threshold:
-            self._last_trigger[slot] = count
-            return count, True
-        return count, False
-
-    def _append(self, row: int, count: int, last_trigger: int) -> None:
-        self._slot_of[row] = len(self._rows)
-        self._rows.append(row)
-        self._counts.append(count)
-        self._last_trigger.append(last_trigger)
-        self._seq.append(self._next_seq)
-        self._next_seq += 1
-
-    def _install(self, slot: int, row: int, count: int, last_trigger: int) -> None:
-        self._slot_of[row] = slot
-        self._rows[slot] = row
-        self._counts[slot] = count
-        self._last_trigger[slot] = last_trigger
-        self._seq[slot] = self._next_seq
-        self._next_seq += 1
-
-    def _evict_slot(self, lowest: int) -> int:
-        """Slot holding ``lowest`` with the smallest insertion stamp."""
-        counts = self._counts
-        slot = counts.index(lowest)
-        if counts.count(lowest) > 1:
-            seq = self._seq
-            for other in range(slot + 1, len(counts)):
-                if counts[other] == lowest and seq[other] < seq[slot]:
-                    slot = other
-        return slot
-
-    @property
-    def entries(self) -> Dict[int, GrapheneEntry]:
-        """Dict-shaped snapshot of the tracked rows (tests / inspection)."""
-        return {
-            row: GrapheneEntry(
-                row=row,
-                count=self._counts[slot],
-                last_trigger=self._last_trigger[slot],
-            )
-            for row, slot in self._slot_of.items()
-        }
-
-    def max_count(self) -> int:
-        """Maximum tracked count (0 for an empty table)."""
-        if not self._counts:
-            return 0
-        return max(self._counts)
-
-    def reset(self) -> None:
-        self.spillover = 0
-        self._rows.clear()
-        self._counts.clear()
-        self._last_trigger.clear()
-        self._seq.clear()
-        self._slot_of.clear()
-        self._next_seq = 0
-
-
-def make_misra_gries_table(num_entries: int, backend: Optional[str] = None):
-    """Build a Misra-Gries table for the resolved ``backend``."""
-    if resolve_backend(backend) == "array":
-        return ArrayMisraGriesTable(num_entries)
-    return MisraGriesTable(num_entries)
 
 
 def graphene_table_entries(nrh: int, reset_window_activations: int) -> int:
@@ -273,7 +135,6 @@ class Graphene(ControllerMitigation):
         reset_window_activations: Optional[int] = None,
         table_entries: Optional[int] = None,
         blast_radius: int = DEFAULT_BLAST_RADIUS,
-        backend: Optional[str] = None,
     ) -> None:
         """Create a Graphene instance.
 
@@ -287,8 +148,6 @@ class Graphene(ControllerMitigation):
             table_entries: override the table size (otherwise derived from
                 ``nrh`` and the reset window).
             blast_radius: victim rows on each side of an aggressor.
-            backend: counter-store backend ("dict" / "array"; None resolves
-                to the module default, array).
         """
         super().__init__(nrh, blast_radius)
         if num_banks <= 0:
@@ -301,11 +160,7 @@ class Graphene(ControllerMitigation):
         if table_entries is None:
             table_entries = graphene_table_entries(nrh, reset_window_activations)
         self.table_entries = table_entries
-        self.backend = resolve_backend(backend)
-        self.tables = [
-            make_misra_gries_table(table_entries, self.backend)
-            for _ in range(num_banks)
-        ]
+        self.tables = [MisraGriesTable(table_entries) for _ in range(num_banks)]
 
     def on_activate(self, bank_id: int, row: int, cycle: int) -> None:
         self.stats.tracked_activations += 1

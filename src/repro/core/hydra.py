@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.counters import resolve_backend
 from repro.core.mitigation import (
     DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
@@ -83,7 +82,6 @@ class Hydra(ControllerMitigation):
         group_threshold: Optional[int] = None,
         row_threshold: Optional[int] = None,
         blast_radius: int = DEFAULT_BLAST_RADIUS,
-        backend: Optional[str] = None,
     ) -> None:
         """Create a Hydra instance.
 
@@ -97,10 +95,6 @@ class Hydra(ControllerMitigation):
             row_threshold: per-row count at which victims are refreshed
                 (defaults to ``nrh / 2``).
             blast_radius: victim rows on each side of an aggressor.
-            backend: counter-store backend ("dict" keeps the reference
-                tuple-keyed mappings; "array" -- the default -- keeps flat
-                per-bank GCT/RCT count arrays grown on demand).  The RCC is
-                an LRU structure and is shared by both backends.
         """
         super().__init__(nrh, blast_radius)
         if num_banks <= 0:
@@ -112,30 +106,17 @@ class Hydra(ControllerMitigation):
         self.group_threshold = group_threshold if group_threshold is not None else max(1, nrh // 4)
         self.row_threshold = row_threshold if row_threshold is not None else max(1, nrh // 2)
         self.rcc = RowCountCache(rcc_entries)
-        self.backend = resolve_backend(backend)
-
-        if self.backend == "array":
-            #: Per-bank flat GCT count arrays, indexed by group (lazy growth).
-            self._gct_counts: List[List[int]] = [[] for _ in range(num_banks)]
-            #: Per-bank sets of promoted (per-row tracked) groups.
-            self._tracked: List[set] = [set() for _ in range(num_banks)]
-            #: Per-bank flat RCT count arrays, indexed by row (lazy growth).
-            #: Only rows of promoted groups are ever read, and those are
-            #: explicitly initialised at promotion time.
-            self._rct_counts: List[List[int]] = [[] for _ in range(num_banks)]
-            self.on_activate = self._on_activate_array  # type: ignore[method-assign]
-        else:
-            #: Group Count Table: {(bank, group): aggregate count}.
-            self._gct: Dict[Tuple[int, int], int] = {}
-            #: Groups promoted to per-row tracking.
-            self._tracked_groups: set = set()
-            #: Row Count Table: {(bank, row): count} (conceptually in DRAM).
-            self._rct: Dict[Tuple[int, int], int] = {}
+        #: Group Count Table: {(bank, group): aggregate count}.
+        self._gct: Dict[Tuple[int, int], int] = {}
+        #: Groups promoted to per-row tracking.
+        self._tracked_groups: set = set()
+        #: Row Count Table: {(bank, row): count} (conceptually in DRAM).
+        self._rct: Dict[Tuple[int, int], int] = {}
         #: Extra DRAM accesses caused by RCC misses (RCT fetch + write-back).
         self.rct_dram_accesses = 0
 
     # ------------------------------------------------------------------ #
-    # Observation hooks -- dict backend (reference)
+    # Observation hooks
     # ------------------------------------------------------------------ #
     def on_activate(self, bank_id: int, row: int, cycle: int) -> None:
         self.stats.tracked_activations += 1
@@ -178,76 +159,22 @@ class Hydra(ControllerMitigation):
                 )
             )
 
-    # ------------------------------------------------------------------ #
-    # Observation hooks -- array backend (flat per-bank count arrays)
-    # ------------------------------------------------------------------ #
-    def _on_activate_array(self, bank_id: int, row: int, cycle: int) -> None:
-        self.stats.tracked_activations += 1
-        group = row // self.group_size
-        tracked = self._tracked[bank_id]
-        if group not in tracked:
-            gct = self._gct_counts[bank_id]
-            if group >= len(gct):
-                gct.extend([0] * (max(group + 1, len(gct) * 2, 64) - len(gct)))
-            count = gct[group] + 1
-            gct[group] = count
-            if count >= self.group_threshold:
-                tracked.add(group)
-                rct = self._rct_counts[bank_id]
-                base_row = group * self.group_size
-                end = base_row + self.group_size
-                if end > len(rct):
-                    rct.extend([0] * (max(end, len(rct) * 2, 64) - len(rct)))
-                threshold = self.group_threshold
-                for tracked_row in range(base_row, end):
-                    rct[tracked_row] = threshold
-            return
-        if not self.rcc.access((bank_id, row)):
-            self.rct_dram_accesses += 1
-            self.queue_refresh(
-                PreventiveRefresh(bank_id=bank_id, aggressor_row=row, num_rows=1)
-            )
-        rct = self._rct_counts[bank_id]
-        count = rct[row] + 1
-        if count >= self.row_threshold:
-            rct[row] = 0
-            self.queue_refresh(
-                PreventiveRefresh(
-                    bank_id=bank_id,
-                    aggressor_row=row,
-                    num_rows=self.victim_rows_per_aggressor,
-                )
-            )
-        else:
-            rct[row] = count
-
     def on_refresh_window(self, cycle: int) -> None:
         self._reset_tables()
         self.rcc.clear()
 
     def _reset_tables(self) -> None:
-        if self.backend == "array":
-            self._gct_counts = [[] for _ in range(self.num_banks)]
-            self._tracked = [set() for _ in range(self.num_banks)]
-            self._rct_counts = [[] for _ in range(self.num_banks)]
-        else:
-            self._gct.clear()
-            self._tracked_groups.clear()
-            self._rct.clear()
+        self._gct.clear()
+        self._tracked_groups.clear()
+        self._rct.clear()
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     def iter_count_values(self):
-        """Every GCT / RCT count currently held (backend-agnostic view)."""
-        if self.backend == "array":
-            for gct in self._gct_counts:
-                yield from gct
-            for rct in self._rct_counts:
-                yield from rct
-        else:
-            yield from self._gct.values()
-            yield from self._rct.values()
+        """Every GCT / RCT count currently held."""
+        yield from self._gct.values()
+        yield from self._rct.values()
 
     def storage_overhead_bits(self, num_banks: int, rows_per_bank: int) -> Dict[str, int]:
         """Hydra stores the RCT in DRAM and the GCT + RCC in controller SRAM."""

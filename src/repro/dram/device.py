@@ -20,13 +20,11 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.mitigation import OnDieMitigation
 from repro.dram.bank import Bank, BankState, TimingViolation
 from repro.dram.organization import DramOrganization
 from repro.dram.timing import TimingParams
-from repro.dram.timing_plane import BankArrayTiming, resolve_bank_backend
+from repro.dram.timing_plane import BankArrayTiming
 
 
 @dataclass(slots=True)
@@ -49,7 +47,6 @@ class DramDevice:
         organization: DramOrganization,
         timing: TimingParams,
         mitigation: Optional[OnDieMitigation] = None,
-        bank_backend: Optional[str] = None,
     ) -> None:
         if mitigation is not None and mitigation.side != "dram":
             raise ValueError(
@@ -58,24 +55,13 @@ class DramDevice:
         self.organization = organization
         self.timing = timing
         self.mitigation = mitigation
-        # Bank timing backend (see dram/timing_plane.py).
-        self.bank_backend = resolve_bank_backend(bank_backend)
-        timing_plane = None
-        if self.bank_backend == "array":
-            timing_plane = BankArrayTiming(organization.total_banks)
-        #: The structure-of-arrays timing registers (None = object backend).
-        #: The controller's array kernels key off this attribute.
-        self.timing_plane = timing_plane
-        if timing_plane is not None:
-            self.banks: List[Bank] = [
-                Bank(bank_id, timing, plane=timing_plane, index=bank_id)
-                for bank_id in range(organization.total_banks)
-            ]
-        else:
-            self.banks = [
-                Bank(bank_id, timing, backend="object")
-                for bank_id in range(organization.total_banks)
-            ]
+        #: The structure-of-arrays timing registers of every bank (see
+        #: dram/timing_plane.py); the controller's kernels read it directly.
+        self.timing_plane = timing_plane = BankArrayTiming(organization.total_banks)
+        self.banks: List[Bank] = [
+            Bank(bank_id, timing, plane=timing_plane, index=bank_id)
+            for bank_id in range(organization.total_banks)
+        ]
         self._ranks: Dict[int, RankState] = {
             rank: RankState() for rank in range(organization.ranks)
         }
@@ -85,12 +71,6 @@ class DramDevice:
         per_rank = organization.banks_per_rank
         self._rank_bank_ids: List[Tuple[int, ...]] = [
             tuple(range(rank * per_rank, (rank + 1) * per_rank))
-            for rank in range(organization.ranks)
-        ]
-        # Per-rank contiguous slices into the plane arrays (flat bank ids of
-        # a rank are consecutive), for the vectorized REF/RFM predicates.
-        self._rank_slices: List[slice] = [
-            slice(rank * per_rank, (rank + 1) * per_rank)
             for rank in range(organization.ranks)
         ]
         #: Command counts, keyed by command mnemonic, for the energy model.
@@ -216,46 +196,27 @@ class DramDevice:
 
     def can_refresh(self, rank: int, cycle: int) -> bool:
         """True if every bank in ``rank`` is precharged and ACT-ready."""
+        # Early-exit walk over the plane slots: this predicate runs every
+        # controller tick while a refresh is owed, and it almost always
+        # fails on the first open or busy bank.
         plane = self.timing_plane
-        if plane is not None:
-            # Early-exit scalar walk over the plane slots: the predicate
-            # almost always fails on the first open or busy bank, which an
-            # ndarray reduction cannot short-circuit on.
-            open_row = plane.open_row_mv
-            next_act = plane.next_act_mv
-            for bank_id in self._rank_bank_ids[rank]:
-                if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
-                    return False
-            return True
-        banks = self.banks
-        # Direct state/ready access: this predicate runs every controller
-        # tick while a refresh is owed, so the per-bank method calls of the
-        # naive formulation dominate idle-loop time.
+        open_row = plane.open_row_mv
+        next_act = plane.next_act_mv
         for bank_id in self._rank_bank_ids[rank]:
-            bank = banks[bank_id]
-            if bank.state is not BankState.IDLE or cycle < bank._next_act:
+            if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
                 return False
         return True
 
     def can_rfm(self, bank_ids: Sequence[int], cycle: int) -> bool:
         """True if all target banks are precharged and ready for maintenance."""
         plane = self.timing_plane
-        if plane is not None:
-            if len(bank_ids) == plane.num_banks:
-                # All-bank RFM (back-off recovery): whole-plane reductions.
-                return bool(
-                    plane.open_row.max() < 0 and plane.next_act.max() <= cycle
-                )
-            open_row = plane.open_row_mv
-            next_act = plane.next_act_mv
-            for bank_id in bank_ids:
-                if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
-                    return False
-            return True
-        banks = self.banks
+        open_row = plane.open_row_mv
+        next_act = plane.next_act_mv
+        if len(bank_ids) == plane.num_banks:
+            # All-bank RFM (back-off recovery): whole-plane reductions.
+            return max(open_row) < 0 and max(next_act) <= cycle
         for bank_id in bank_ids:
-            bank = banks[bank_id]
-            if bank.state is not BankState.IDLE or cycle < bank._next_act:
+            if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
                 return False
         return True
 
@@ -306,15 +267,7 @@ class DramDevice:
         bank_ids = self.banks_in_rank(rank)
         if not self.can_refresh(rank, cycle):
             raise TimingViolation(f"rank {rank}: REF at cycle {cycle} illegal")
-        plane = self.timing_plane
-        if plane is not None:
-            # can_refresh above proved every bank idle: the per-bank block()
-            # calls collapse to one vectorized max over the rank slice.
-            target = plane.next_act[self._rank_slices[rank]]
-            np.maximum(target, cycle + self.timing.tRFC, out=target)
-        else:
-            for bank_id in bank_ids:
-                self.banks[bank_id].block(cycle, self.timing.tRFC)
+        self._block_idle_banks(bank_ids, cycle + self.timing.tRFC)
         self.command_counts["REF"] += 1
         if self._ref_hooks:
             for hook in self._ref_hooks:
@@ -328,19 +281,25 @@ class DramDevice:
         """
         if not self.can_rfm(bank_ids, cycle):
             raise TimingViolation(f"RFM at cycle {cycle} illegal for banks {bank_ids}")
-        plane = self.timing_plane
-        if plane is not None and len(bank_ids) == plane.num_banks:
-            # All-bank RFM, all banks proven idle: one vectorized max.
-            np.maximum(plane.next_act, cycle + self.timing.tRFM, out=plane.next_act)
-        else:
-            for bank_id in bank_ids:
-                self.banks[bank_id].block(cycle, self.timing.tRFM)
+        self._block_idle_banks(bank_ids, cycle + self.timing.tRFM)
         self.command_counts["RFM"] += 1
         refreshed = 0
         if self.mitigation is not None:
             refreshed = self.mitigation.on_rfm(bank_ids, cycle)
             self.internal_victim_rows += refreshed
         return refreshed
+
+    def _block_idle_banks(self, bank_ids: Sequence[int], ready: int) -> None:
+        """Delay the next ACT of each bank to at least ``ready``.
+
+        The callers (REF, RFM) have proved every bank idle, so the per-bank
+        :meth:`~repro.dram.bank.Bank.block` checks collapse to a max over
+        the plane's ACT registers.
+        """
+        next_act = self.timing_plane.next_act_mv
+        for bank_id in bank_ids:
+            if next_act[bank_id] < ready:
+                next_act[bank_id] = ready
 
     def victim_refresh(self, bank_id: int, num_rows: int, cycle: int) -> int:
         """Serve a controller-side victim-row refresh (VRR).

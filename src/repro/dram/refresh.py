@@ -115,7 +115,7 @@ class RefreshScheduler:
         """Ranks whose postpone budget is exhausted (cached tuple).
 
         The urgent set only changes on accrual (``tick``) or issue
-        (``refresh_issued``), so the array-backend controller kernels can
+        (``refresh_issued``), so the controller kernels can
         probe it as a shared tuple -- almost always empty -- instead of
         re-deriving per-rank pending counts on every ACT-candidate serve.
         Callers must not mutate the returned tuple.

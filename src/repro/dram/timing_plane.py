@@ -1,19 +1,14 @@
 """Structure-of-arrays storage for the per-bank timing registers.
 
-The object-backend :class:`~repro.dram.bank.Bank` keeps its timing registers
-(``_next_act`` / ``_next_pre`` / ``_next_rd`` / ``_next_wr``), the open row
-and the last-ACT cycle as Python attributes.  That layout is convenient but
-forces every controller readiness scan -- ``_demand_ready_cycle``, the
+:class:`BankArrayTiming` stores every bank's timing registers
+(``next_act`` / ``next_pre`` / ``next_rd`` / ``next_wr``), its open row and
+its last-ACT cycle as flat per-channel stdlib ``array("q")`` buffers indexed
+by *flat bank id*.  The controller's readiness scans -- the demand scan, the
 postponed-REF sweep, the back-off recovery probe, the event-horizon hint --
-to walk 64 bank objects per channel in Python.
-
-:class:`BankArrayTiming` stores the same six registers as flat per-channel
-NumPy ``int64`` arrays indexed by *flat bank id*: the controller scans read
-them as plain ints through memoryview twins, and the device's all-bank REF
-and RFM checks reduce a rank slice in one vectorized pass.  The
-array-backend ``Bank`` is a thin
-view over one slot of a plane (see :mod:`repro.dram.bank`); the plane itself
-is owned by :class:`~repro.dram.device.DramDevice`.
+and the device's REF/RFM predicates read them as plain ints through
+memoryview twins instead of walking 64 bank objects per channel.  Each
+:class:`~repro.dram.bank.Bank` is a thin view over one slot of a plane; the
+plane itself is owned by :class:`~repro.dram.device.DramDevice`.
 
 Sentinels
 ---------
@@ -21,58 +16,24 @@ Sentinels
 ``open_row`` uses ``-1`` for "no open row" and ``last_act`` uses ``-1`` for
 "never activated"; real rows and cycles are non-negative, so the encoding is
 lossless.  Bank state needs no separate array: a bank is ACTIVE iff its
-``open_row`` slot is non-negative (the object backend maintains exactly this
-invariant between ``state`` and ``open_row``).
-
-Backend selection mirrors :mod:`repro.core.counters`: a
-``backend="object"|"array"`` constructor argument, ``None`` resolving to
-``$REPRO_BANK_BACKEND`` when set and to the array default otherwise.
+``open_row`` slot is non-negative.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
-
-import numpy as np
-
-#: Backend names accepted by :class:`repro.dram.bank.Bank` and
-#: :class:`repro.dram.device.DramDevice`.
-BANK_BACKENDS: Tuple[str, ...] = ("object", "array")
-
-#: Environment variable overriding the default backend (debugging aid and
-#: the CI differential-matrix switch).
-BANK_BACKEND_ENV = "REPRO_BANK_BACKEND"
-
-#: The default backend: the structure-of-arrays timing plane.
-DEFAULT_BANK_BACKEND = "array"
+from array import array
 
 #: ``open_row`` / ``last_act`` sentinel for "none".
 NO_ROW = -1
 
 
-def resolve_bank_backend(backend: Optional[str]) -> str:
-    """Resolve a ``backend`` constructor argument to a concrete name.
-
-    ``None`` selects ``$REPRO_BANK_BACKEND`` when set, otherwise
-    :data:`DEFAULT_BANK_BACKEND`.
-    """
-    if backend is None:
-        backend = os.environ.get(BANK_BACKEND_ENV) or DEFAULT_BANK_BACKEND
-    if backend not in BANK_BACKENDS:
-        raise ValueError(
-            f"unknown bank backend {backend!r}; expected one of {BANK_BACKENDS}"
-        )
-    return backend
-
-
 class BankArrayTiming:
     """Flat per-channel timing registers for ``num_banks`` banks.
 
-    Every array is ``int64`` of length ``num_banks`` and indexed by flat
-    bank id.  The arrays are the single source of truth for the array
-    backend -- bank views read and write them directly, and the controller
-    kernels fold over them without touching bank objects.
+    Every buffer is a signed 64-bit ``array("q")`` of length ``num_banks``
+    indexed by flat bank id.  The buffers are the single source of truth:
+    bank views read and write them directly, and the controller kernels
+    fold over them without touching bank objects.
     """
 
     __slots__ = (
@@ -86,21 +47,20 @@ class BankArrayTiming:
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
+        zeros = [0] * num_banks
+        none = [NO_ROW] * num_banks
         #: Earliest cycle each command class may be issued (per bank).
-        self.next_act = np.zeros(num_banks, dtype=np.int64)
-        self.next_pre = np.zeros(num_banks, dtype=np.int64)
-        self.next_rd = np.zeros(num_banks, dtype=np.int64)
-        self.next_wr = np.zeros(num_banks, dtype=np.int64)
+        self.next_act = array("q", zeros)
+        self.next_pre = array("q", zeros)
+        self.next_rd = array("q", zeros)
+        self.next_wr = array("q", zeros)
         #: Open row per bank (:data:`NO_ROW` = precharged).
-        self.open_row = np.full(num_banks, NO_ROW, dtype=np.int64)
+        self.open_row = array("q", none)
         #: Cycle of the last ACT per bank (:data:`NO_ROW` = never).
-        self.last_act = np.full(num_banks, NO_ROW, dtype=np.int64)
-        # Scalar-access twins: memoryview indexing reads and writes plain
-        # Python ints at roughly half the cost of ndarray scalar indexing
-        # and shares the ndarray buffer, so per-slot view accesses and the
-        # device's vectorized REF/RFM reductions always see the same
-        # registers.  The arrays never reallocate, so the views stay valid
-        # for the plane's lifetime.
+        self.last_act = array("q", none)
+        # Scalar-access twins sharing each array's buffer.  Exporting the
+        # buffer pins the arrays' size, so the views stay valid for the
+        # plane's lifetime.
         self.next_act_mv = memoryview(self.next_act)
         self.next_pre_mv = memoryview(self.next_pre)
         self.next_rd_mv = memoryview(self.next_rd)
@@ -109,5 +69,5 @@ class BankArrayTiming:
         self.last_act_mv = memoryview(self.last_act)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        open_banks = int((self.open_row != NO_ROW).sum())
+        open_banks = sum(1 for row in self.open_row if row != NO_ROW)
         return f"BankArrayTiming(num_banks={self.num_banks}, open={open_banks})"

@@ -53,43 +53,35 @@ HOT_PATH_FUNCTIONS = {
     "src/repro/controller/controller.py": frozenset({
         "MemoryController.tick",
         "MemoryController._next_event_hint",
+        "MemoryController._post_issue_hint",
         "MemoryController._demand_ready_cycle",
         "MemoryController._service_demand",
-        # The structure-of-arrays twins (the array bank backend's kernels).
-        "MemoryController._next_event_hint_array",
-        "MemoryController._post_issue_hint_array",
-        "MemoryController._demand_ready_cycle_array",
-        "MemoryController._service_demand_array",
-        "MemoryController._serve_request_array",
+        "MemoryController._serve_request",
     }),
     "src/repro/controller/scheduler.py": frozenset({
         "FrFcfsCapScheduler.choose",
         "FrFcfsCapScheduler.choose_from_buckets",
-        "FrFcfsCapScheduler.choose_from_buckets_array",
         "FrFcfsCapScheduler._arbitrate",
         "FrFcfsCapScheduler._arbitrate_bucketed",
         "FrFcfsCapScheduler.on_scheduled",
         "FrFcfsCapScheduler.on_row_closed",
     }),
     "src/repro/dram/bank.py": frozenset({
-        # The array bank view's per-command path: one memoryview indexing
+        # The bank view's per-command path: one memoryview indexing
         # operation per register access, nothing allocated per call.
-        "_ArrayBank.activate",
-        "_ArrayBank.precharge",
-        "_ArrayBank.read",
-        "_ArrayBank.write",
-        "_ArrayBank.can_activate",
-        "_ArrayBank.can_precharge",
-        "_ArrayBank.can_read",
-        "_ArrayBank.can_write",
+        "Bank.activate",
+        "Bank.precharge",
+        "Bank.read",
+        "Bank.write",
+        "Bank.can_activate",
+        "Bank.can_precharge",
+        "Bank.can_read",
+        "Bank.can_write",
     }),
     "src/repro/core/counters.py": frozenset({
-        "_DictPerRowCounters.increment",
-        "_DictPerRowCounters.get",
-        "_DictPerRowCounters.reset_row",
-        "_ArrayPerRowCounters.increment",
-        "_ArrayPerRowCounters.get",
-        "_ArrayPerRowCounters.reset_row",
+        "PerRowCounters.increment",
+        "PerRowCounters.get",
+        "PerRowCounters.reset_row",
     }),
     "src/repro/dram/refresh.py": frozenset({
         "RefreshScheduler.tick",
@@ -103,13 +95,16 @@ HOT_PATH_FUNCTIONS = {
 #: Method names that look like event-horizon wake hints.  Any class
 #: defining one is an event source under the "early, never late" contract
 #: and must be registered below.
-HINT_METHOD_PATTERN = r"(?:^|_)next_(?:event_(?:hint|cycle)|due_cycle)$"
+HINT_METHOD_PATTERN = (
+    r"(?:^|_)(?:next_(?:event_(?:hint|cycle)|due_cycle)|post_issue_hint)$"
+)
 
 #: The hint-contract registry: every (file, class, method) that feeds the
 #: event horizon.  Each class must also be named in docs/ARCHITECTURE.md's
 #: event-horizon section -- the doc *is* the contract's specification.
 HINT_EVENT_SOURCES = frozenset({
     ("src/repro/controller/controller.py", "MemoryController", "_next_event_hint"),
+    ("src/repro/controller/controller.py", "MemoryController", "_post_issue_hint"),
     ("src/repro/controller/controller.py", "MemoryController", "next_event_cycle"),
     ("src/repro/cpu/core.py", "Core", "next_event_cycle"),
     ("src/repro/dram/refresh.py", "RefreshScheduler", "next_due_cycle"),

@@ -5,9 +5,9 @@ skipping") jumps simulated time to the minimum of every component's wake
 hint.  A hint may be early but **never late** -- and the contract only
 holds if every hint source is known, reviewed and documented.  A new
 component that quietly grows a ``*_next_event_hint`` / ``next_event_cycle``
-/ ``next_due_cycle`` method is a new event source; if it is not folded
-into the horizon (and its invariants documented), skips can jump past its
-events and silently change simulated behaviour.
+/ ``next_due_cycle`` / ``*_post_issue_hint`` method is a new event source;
+if it is not folded into the horizon (and its invariants documented), skips
+can jump past its events and silently change simulated behaviour.
 
 This rule cross-checks three artefacts:
 

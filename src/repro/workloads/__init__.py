@@ -1,4 +1,7 @@
-"""Workloads: synthetic benign application traces, mixes, and attackers."""
+"""Workloads: synthetic benign application traces and mixes.
+
+Attack traces live in :mod:`repro.attacks`.
+"""
 
 from repro.workloads.synthetic import (
     AppProfile,
@@ -9,13 +12,6 @@ from repro.workloads.synthetic import (
     profile_by_name,
 )
 from repro.workloads.mixes import MIX_TYPES, WorkloadMix, build_mix_traces, workload_mixes
-# Attack traces live in repro.attacks now; re-exported here for
-# backwards compatibility (repro.workloads.attacker is a deprecation shim).
-from repro.attacks.patterns import (
-    performance_attack_trace,
-    wave_attack_addresses,
-    wave_attack_trace,
-)
 
 __all__ = [
     "AppProfile",
@@ -28,7 +24,4 @@ __all__ = [
     "WorkloadMix",
     "workload_mixes",
     "build_mix_traces",
-    "performance_attack_trace",
-    "wave_attack_trace",
-    "wave_attack_addresses",
 ]

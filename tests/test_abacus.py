@@ -6,12 +6,8 @@ from repro.core.abacus import ABACuS
 
 
 def make_abacus(nrh=16, num_banks=4, table_entries=8):
-    # The dict reference backend: these unit tests pin the update rules by
-    # poking the internal table; tests/test_counter_backends.py pins the
-    # array backend's observable equivalence against it.
-    return ABACuS(
-        nrh=nrh, num_banks=num_banks, table_entries=table_entries, backend="dict"
-    )
+    # These unit tests pin the update rules by poking the internal table.
+    return ABACuS(nrh=nrh, num_banks=num_banks, table_entries=table_entries)
 
 
 class TestSiblingCounting:

@@ -1,7 +1,5 @@
 """Tests for the attack-pattern registry and AttackSpec compilation."""
 
-import importlib
-
 import pytest
 
 from repro.attacks.patterns import (
@@ -171,40 +169,3 @@ class TestWaveWrapAround:
     def test_wave_spec_inherits_validation(self):
         with pytest.raises(ValueError, match="does not fit"):
             AttackSpec.create("wave", {"num_rows": PAPER_ORGANIZATION.rows}).compile()
-
-
-class TestDeprecationShim:
-    def test_old_import_path_still_works(self):
-        import sys
-
-        sys.modules.pop("repro.workloads.attacker", None)
-        with pytest.warns(DeprecationWarning, match="repro.attacks"):
-            from repro.workloads import attacker
-
-        assert attacker.wave_attack_trace is wave_attack_trace
-        assert attacker.wave_attack_addresses is wave_attack_addresses
-
-    def test_shim_emits_deprecation_warning(self):
-        from repro.workloads import attacker
-
-        with pytest.warns(DeprecationWarning, match="repro.attacks"):
-            importlib.reload(attacker)
-
-    def test_shim_warning_is_promoted_to_error_under_pytest(self):
-        """pytest.ini turns the shim's DeprecationWarning into an error, so
-        no test (or fixture) can silently depend on the deprecated path."""
-        import sys
-
-        sys.modules.pop("repro.workloads.attacker", None)
-        with pytest.raises(DeprecationWarning, match="repro.attacks"):
-            import repro.workloads.attacker  # noqa: F401
-
-    def test_workloads_package_reexports_without_warning(self):
-        import warnings
-
-        import repro.workloads as workloads
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            importlib.reload(workloads)
-        assert workloads.wave_attack_trace is wave_attack_trace

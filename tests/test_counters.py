@@ -1,7 +1,9 @@
 """Tests for per-row counters, the counter subarray and the ATT."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.counters import AggressorTrackingTable, CounterSubarray, PerRowCounters
 
@@ -56,6 +58,29 @@ class TestPerRowCounters:
         counters.increment(0, 1)
         counters.increment(0, 2)
         assert counters.nonzero_rows(0) == 2
+
+    def test_reset_row_reenters_at_the_back(self):
+        counters = PerRowCounters(1)
+        for row in range(4):
+            counters.increment(0, row)
+        counters.reset_row(0, 0)
+        counters.increment(0, 0)
+        assert [row for row, _ in counters.iter_bank(0)] == [1, 2, 3, 0]
+
+    def test_sparse_rows_cost_no_row_space_memory(self):
+        """One ACT to the last row of each of 64 banks stays tiny: storage
+        grows with the rows activated, not with the row space."""
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            counters = PerRowCounters(64)
+            for bank_id in range(64):
+                counters.increment(bank_id, 65535)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1 << 20
+        assert counters.get(63, 65535) == 1
 
     def test_invalid_bank_count(self):
         with pytest.raises(ValueError):
@@ -129,6 +154,17 @@ class TestAggressorTrackingTable:
         att.update(3, 1)
         assert set(att.tracked_rows()) == {2, 3}
 
+    def test_reuses_first_invalid_slot(self):
+        att = AggressorTrackingTable(3)
+        for row in (10, 11, 12):
+            att.update(row, 5)
+        att.invalidate(11)
+        att.invalidate(10)
+        att.update(20, 1)
+        # The first invalidated slot (row 10's) is reused, which the
+        # slot-ordered view shows.
+        assert att.tracked_rows() == [20, 12]
+
     def test_max_entry_none_when_empty(self):
         att = AggressorTrackingTable(4)
         assert att.max_entry() is None
@@ -171,3 +207,91 @@ def test_per_row_counters_match_reference_counts(rows):
         assert counters.get(0, row) == count
     max_row, max_count = counters.max_row(0)
     assert max_count == max(reference.values())
+
+
+row_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("inc"), st.integers(0, 15)),
+        st.tuples(st.just("reset"), st.integers(0, 15)),
+        st.tuples(st.just("reset_bank"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=row_events)
+def test_per_row_counters_follow_dict_semantics(events):
+    """Values, insertion order (a reset row re-enters at the back) and the
+    first-inserted tie-break of ``max_row`` match a plain dict model."""
+    counters = PerRowCounters(1)
+    model = {}
+    for kind, row in events:
+        if kind == "inc":
+            model[row] = model.get(row, 0) + 1
+            assert counters.increment(0, row) == model[row]
+        elif kind == "reset":
+            counters.reset_row(0, row)
+            model.pop(row, None)
+        else:
+            counters.reset_bank(0)
+            model.clear()
+        assert list(counters.iter_bank(0)) == list(model.items())
+        assert counters.nonzero_rows(0) == len(model)
+        if model:
+            top = max(model.values())
+            first_top = next(r for r, count in model.items() if count == top)
+            assert counters.max_row(0) == (first_top, top)
+        else:
+            assert counters.max_row(0) is None
+        for threshold in (1, 2, 3, 5, 100):
+            assert counters.rows_at_or_above(0, threshold) == [
+                r for r, count in model.items() if count >= threshold
+            ]
+
+
+att_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.integers(0, 9), st.integers(1, 50)),
+        st.tuples(st.just("invalidate"), st.integers(0, 9), st.just(0)),
+        st.tuples(st.just("pop_max"), st.just(0), st.just(0)),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=att_events)
+def test_att_update_rules_hold_under_rfm_service(events):
+    """The three update rules of the ATT docstring, interleaved with the
+    RFM service pattern (invalidate the current maximum)."""
+    att = AggressorTrackingTable(3)
+    for kind, row, count in events:
+        before = {entry.row: entry.count for entry in att.valid_entries()}
+        if kind == "update":
+            att.update(row, count)
+            after = {entry.row: entry.count for entry in att.valid_entries()}
+            if row in before or len(before) < att.num_entries:
+                assert after.get(row) == count
+            elif count > min(before.values()):
+                assert after.get(row) == count
+                assert len(after) == att.num_entries
+            else:
+                assert after == before
+        elif kind == "invalidate":
+            att.invalidate(row)
+            assert row not in att.tracked_rows()
+        else:
+            entry = att.max_entry()
+            if before:
+                assert entry is not None and entry.count == max(before.values())
+                att.invalidate(entry.row)
+                assert entry.row not in att.tracked_rows()
+            else:
+                assert entry is None
+        tracked = att.tracked_rows()
+        assert len(tracked) == len(set(tracked)) == len(att) <= att.num_entries
+        counts = [entry.count for entry in att.valid_entries()]
+        assert counts == sorted(counts, reverse=True)

@@ -3,11 +3,13 @@
 from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mitigation import OnDieMitigation
 from repro.dram.bank import TimingViolation
 from repro.dram.device import DramDevice
 from repro.dram.organization import DramOrganization
+from repro.dram.timing_plane import NO_ROW
 from repro.dram.timing import ddr5_3200an
 
 
@@ -148,6 +150,11 @@ class TestRefreshAndRfm:
         assert device.can_activate(0, device.timing.tRFM)
         assert device.command_counts["RFM"] == 1
 
+    def test_rfm_leaves_other_banks_alone(self, device):
+        device.rfm([0, 1], 0)
+        for bank_id in range(2, SMALL_ORG.total_banks):
+            assert device.banks[bank_id].ready_cycle_for_activate() == 0
+
     def test_victim_refresh_counts_rows(self, device):
         device.victim_refresh(2, num_rows=4, cycle=0)
         assert device.command_counts["VRR"] == 4
@@ -188,3 +195,48 @@ class TestMitigationHooks:
         assert not device.backoff_asserted()
         assert not device.wants_more_rfm()
         assert device.rfm([0], 0) == 0
+
+
+#: Per-bank register states: (open row or None, next-ACT cycle).
+bank_states = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 9)), st.integers(0, 60)),
+    min_size=SMALL_ORG.total_banks,
+    max_size=SMALL_ORG.total_banks,
+)
+
+
+def device_in_state(states):
+    device = DramDevice(SMALL_ORG, ddr5_3200an())
+    plane = device.timing_plane
+    for bank_id, (open_row, next_act) in enumerate(states):
+        plane.open_row_mv[bank_id] = NO_ROW if open_row is None else open_row
+        plane.next_act_mv[bank_id] = next_act
+    return device
+
+
+class TestMaintenancePredicates:
+    """REF/RFM legality is a fold of the per-bank ACT predicate, whichever
+    walk (early exit, whole-plane reduction) the device takes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(states=bank_states, cycle=st.integers(0, 70))
+    def test_can_rfm_matches_bank_predicates(self, states, cycle):
+        device = device_in_state(states)
+        ready = [bank.can_activate(cycle) for bank in device.banks]
+        all_banks = list(range(SMALL_ORG.total_banks))
+        assert device.can_rfm(all_banks, cycle) == all(ready)
+        for bank_id in all_banks:
+            assert device.can_rfm([bank_id], cycle) == ready[bank_id]
+        for rank in range(SMALL_ORG.ranks):
+            bank_ids = list(device.banks_in_rank(rank))
+            assert device.can_rfm(bank_ids, cycle) == all(ready[b] for b in bank_ids)
+
+    @settings(max_examples=80, deadline=None)
+    @given(states=bank_states, cycle=st.integers(0, 70))
+    def test_can_refresh_matches_bank_predicates(self, states, cycle):
+        device = device_in_state(states)
+        for rank in range(SMALL_ORG.ranks):
+            expected = all(
+                device.banks[b].can_activate(cycle) for b in device.banks_in_rank(rank)
+            )
+            assert device.can_refresh(rank, cycle) == expected

@@ -143,11 +143,13 @@ class TestEntryDocuments:
         )
         for needle in (
             "Structure-of-arrays bank timing", "BankArrayTiming",
-            "REPRO_BANK_BACKEND", "memoryview", "TimingViolation",
-            "tests/test_bank_backends.py", "_mech_scan_hint",
-            "_post_issue_hint_array",
+            'array("q")', "memoryview", "TimingViolation", "strict_tick",
+            "tests/test_bank.py", "_mech_scan_hint", "_post_issue_hint",
+            "### Counter stores", "tests/test_counters.py",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+        for stale in ("REPRO_BANK_BACKEND", "REPRO_COUNTER_BACKEND", "NumPy"):
+            assert stale not in architecture, f"ARCHITECTURE.md still names {stale!r}"
 
     def test_architecture_doc_covers_schedule_sharing(self):
         architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
@@ -175,15 +177,16 @@ class TestEntryDocuments:
         for needle in ("`shared`", "`diverged_cycle`", "shared_jobs"):
             assert needle in service, f"SERVICE.md is missing {needle!r}"
 
-    def test_experiments_doc_covers_bank_backend_and_readiness_scan(self):
+    def test_experiments_doc_covers_timing_layout_and_readiness_scan(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(
             encoding="utf-8"
         )
         for needle in (
-            "REPRO_BANK_BACKEND", "readiness_scan",
+            "strict_tick", "readiness_scan",
             "structure-of-arrays-bank-timing",
         ):
             assert needle in experiments, f"EXPERIMENTS.md is missing {needle!r}"
+        assert "REPRO_BANK_BACKEND" not in experiments
 
     def test_experiment_and_attack_docs_mention_channels_knob(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(
@@ -192,4 +195,4 @@ class TestEntryDocuments:
         attacks = (REPO_ROOT / "docs" / "ATTACKS.md").read_text(encoding="utf-8")
         assert "--channels" in experiments
         assert "--channel" in attacks
-        assert "repro.workloads.attacker" in attacks  # deprecation shim note
+        assert "repro.workloads.attacker" not in attacks  # the shim is gone

@@ -18,6 +18,18 @@ class TestBuildMechanism:
         assert setup.name == name
         assert isinstance(setup.act_energy_multiplier, float)
 
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_hooks_resolve_through_the_class(self, name):
+        """Per-layer tracing wraps the mitigation hooks on their classes,
+        so no built component may shadow one with an instance attribute."""
+        setup = build_mechanism(name, nrh=128, num_banks=8)
+        for mechanism in setup.mechanisms():
+            shadowed = set(getattr(mechanism, "__dict__", {})) & {
+                "on_activate", "on_precharge", "on_rfm",
+                "on_periodic_refresh", "on_refresh_window",
+            }
+            assert not shadowed, (type(mechanism).__name__, shadowed)
+
     def test_none_has_no_components(self):
         setup = build_mechanism("None", nrh=128, num_banks=8)
         assert setup.on_die is None and setup.controller is None

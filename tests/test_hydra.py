@@ -39,10 +39,8 @@ class TestRowCountCache:
 
 class TestHydra:
     def make(self, nrh=64, **kwargs):
-        # Dict reference backend: these tests pin the update rules via the
-        # internal GCT/RCT mappings; tests/test_counter_backends.py pins the
-        # array backend's observable equivalence against it.
-        defaults = dict(num_banks=2, group_size=4, rcc_entries=8, backend="dict")
+        # These tests pin the update rules via the internal GCT/RCT mappings.
+        defaults = dict(num_banks=2, group_size=4, rcc_entries=8)
         defaults.update(kwargs)
         return Hydra(nrh=nrh, **defaults)
 

@@ -19,9 +19,10 @@ Three families of properties must hold for *every* mechanism
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.abacus import ABACuS
-from repro.core.chronus import Chronus
+from repro.core.chronus import Chronus, ChronusPB
 from repro.core.factory import MECHANISM_NAMES, build_mechanism
 from repro.core.graphene import Graphene
 from repro.core.hydra import Hydra
@@ -343,6 +344,81 @@ def test_full_reset_restores_identical_behaviour(name):
         assert not signal_raised(mechanism, bank=0)
     second = drive()
     assert first == second
+
+
+#: Small-table constructions: with 4 banks and 10 rows a random stream
+#: forces table collisions, spillover evictions, RAV reuse, Hydra group
+#: promotions and repeated back-offs.
+STREAM_BANKS = 4
+SMALL_MECHANISMS = {
+    "Graphene": lambda: Graphene(nrh=4, num_banks=STREAM_BANKS, table_entries=3),
+    "ABACuS": lambda: ABACuS(nrh=4, num_banks=STREAM_BANKS, table_entries=3),
+    "Hydra": lambda: Hydra(
+        nrh=8, num_banks=STREAM_BANKS, group_size=4, rcc_entries=4
+    ),
+    "PRAC": lambda: PRAC(nrh=64, num_banks=STREAM_BANKS, nbo=4, att_entries=3),
+    "Chronus": lambda: Chronus(
+        nrh=64, num_banks=STREAM_BANKS, nbo=4, att_entries=3
+    ),
+    "Chronus-PB": lambda: ChronusPB(
+        nrh=64, num_banks=STREAM_BANKS, nbo=4, att_entries=3
+    ),
+    "PRFM": lambda: PRFM(nrh=64, num_banks=STREAM_BANKS, rfm_threshold=4),
+    "PARA": lambda: PARA(nrh=64, num_banks=STREAM_BANKS),
+}
+
+act_streams = st.lists(
+    st.tuples(st.integers(0, STREAM_BANKS - 1), st.integers(0, 9)),
+    min_size=1,
+    max_size=200,
+)
+
+
+def drive_stream(mechanism: MitigationMechanism, stream) -> list:
+    """Feed ACT/PRE pairs, serve every request like the controller would,
+    and record each step's observable outcome."""
+    all_banks = list(range(STREAM_BANKS))
+    trace = []
+    for cycle, (bank, row) in enumerate(stream):
+        mechanism.on_activate(bank, row, cycle)
+        mechanism.on_precharge(bank, row, cycle)
+        if isinstance(mechanism, OnDieMitigation):
+            served = []
+            while mechanism.wants_more_rfm():
+                served.append(mechanism.on_rfm(all_banks, cycle))
+                assert len(served) < 100, "back-off never released"
+            if cycle % 53 == 52:
+                mechanism.on_periodic_refresh(all_banks, cycle)
+        else:
+            assert isinstance(mechanism, ControllerMitigation)
+            served = []
+            while True:
+                refresh = mechanism.pop_refresh(bank, cycle)
+                if refresh is None:
+                    break
+                served.append((refresh.aggressor_row, refresh.num_rows))
+            if mechanism.rfm_needed(bank):
+                served.append("rfm")
+                mechanism.acknowledge_rfm(bank, cycle)
+        if cycle % 97 == 96:
+            mechanism.on_refresh_window(cycle)
+        trace.append(served)
+    trace.append(mechanism.stats.as_dict())
+    return trace
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_MECHANISMS))
+@settings(max_examples=30, deadline=None)
+@given(warmup=act_streams, stream=act_streams)
+def test_reset_instance_replays_like_a_fresh_one(name, warmup, stream):
+    """After reset(), a random multi-bank stream must produce exactly what a
+    freshly built instance produces -- no tracking state may survive."""
+    build_small = SMALL_MECHANISMS[name]
+    expected = drive_stream(build_small(), stream)
+    used = build_small()
+    drive_stream(used, warmup)
+    used.reset()
+    assert drive_stream(used, stream) == expected
 
 
 @pytest.mark.parametrize("name", MECHANISM_NAMES)

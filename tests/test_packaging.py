@@ -3,10 +3,12 @@
 ``setup.py`` has always claimed "the pyproject.toml metadata is
 authoritative" -- these tests make that claim true and keep it true: the
 file must exist, parse, agree with the package's ``__version__``, declare
-the NumPy dependency the bank timing plane imports, and expose a console entry
-point that actually resolves.
+no third-party runtime dependency (the README promises a pure standard
+library install), and expose a console entry point that actually resolves.
 """
 
+import os
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -37,13 +39,40 @@ class TestPyprojectMetadata:
         project = load_pyproject()["project"]
         assert project["version"] == repro.__version__
 
-    def test_numpy_dependency_declared(self):
+    def test_no_runtime_dependencies(self):
         project = load_pyproject()["project"]
-        dependencies = project["dependencies"]
-        assert any(
-            dep.partition(">")[0].partition("=")[0].strip() == "numpy"
-            for dep in dependencies
-        ), f"numpy missing from dependencies: {dependencies}"
+        assert project["dependencies"] == []
+
+    def test_cli_import_loads_no_numpy(self):
+        """A fresh interpreter importing the CLI (and through it every
+        simulator module) must not pull NumPy in."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli, sys; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.strip()
+        assert loaded == "False"
+
+    def test_simulation_run_loads_no_numpy(self):
+        """Running a simulation (device, timing plane, REF/RFM, counters)
+        must not import NumPy lazily either."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        script = (
+            "import sys\n"
+            "from repro.experiments.sweep import build_job_traces, mechanism_job\n"
+            "from repro.system.config import paper_system_config\n"
+            "from repro.system.simulator import simulate\n"
+            "job = mechanism_job(paper_system_config(), ('429.mcf',), 'Chronus', 64, 200)\n"
+            "result = simulate(job.config, build_job_traces(job))\n"
+            "assert result.command_counts['ACT'] > 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.strip()
+        assert loaded == "False"
 
     def test_requires_python_matches_running_interpreter(self):
         # The suite runs on the interpreter CI provisions; the floor must
